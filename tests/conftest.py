@@ -1,8 +1,10 @@
 """Shared test configuration.
 
-Adds the ``--update-golden`` flag used by tests/test_golden_results.py:
+Adds the ``--update-golden`` flag used by tests/test_golden_results.py and
+tests/test_golden_fault_injection.py:
 
-    PYTHONPATH=src python -m pytest tests/test_golden_results.py --update-golden
+    PYTHONPATH=src python -m pytest tests/test_golden_results.py \
+        tests/test_golden_fault_injection.py --update-golden
 
 regenerates every file under tests/golden/ from the current simulator and
 skips the comparisons.  Review the resulting diff before committing — a
