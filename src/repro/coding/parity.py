@@ -17,9 +17,11 @@ WORD_BITS = 64
 BYTES_PER_WORD = WORD_BITS // 8
 _WORD_MASK = (1 << WORD_BITS) - 1
 
-# Parity of every byte value, precomputed: _BYTE_PARITY[b] is 1 when b has an
-# odd number of set bits.
-_BYTE_PARITY = bytes(bin(b).count("1") & 1 for b in range(256))
+# Low bit of every byte, and the multiplier that gathers bit 8*i of a word
+# into bit 56 + i of the product (the partial products never overlap, so
+# no carries disturb the gathered bits).
+_BYTE_LOW_BITS = 0x0101010101010101
+_GATHER = 0x0102040810204080
 
 
 def byte_parity_bits(word: int) -> int:
@@ -27,14 +29,14 @@ def byte_parity_bits(word: int) -> int:
 
     Bit *i* of the result is the parity bit of byte *i* (byte 0 is the least
     significant byte).  With even parity the stored bit simply equals the
-    XOR-reduction of the byte.
+    XOR-reduction of the byte: three shift-XOR folds leave each byte's
+    parity in its low bit, and one multiply gathers the eight low bits.
     """
     word &= _WORD_MASK
-    bits = 0
-    for i in range(BYTES_PER_WORD):
-        if _BYTE_PARITY[(word >> (8 * i)) & 0xFF]:
-            bits |= 1 << i
-    return bits
+    word ^= word >> 4
+    word ^= word >> 2
+    word ^= word >> 1
+    return ((word & _BYTE_LOW_BITS) * _GATHER) >> 56 & 0xFF
 
 
 def check_parity(word: int, parity_bits: int) -> bool:

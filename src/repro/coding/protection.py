@@ -78,6 +78,21 @@ class ProtectedWord:
         """Raw (possibly corrupted) data bits, bypassing verification."""
         return self._cell.data
 
+    def flip_bit(self, bit: int) -> None:
+        """Inject a transient fault into stored bit *bit* of the whole word.
+
+        Bits are numbered over the protected word as the error models see
+        it: the 72 codeword bits (0..71) under ECC, and under parity the 64
+        data bits (0..63) followed by the 8 parity bits (64..71).
+        """
+        if self.kind is ProtectionKind.PARITY:
+            if bit < parity.WORD_BITS:
+                self._cell.flip_data_bit(bit)
+            else:
+                self._cell.flip_parity_bit(bit - parity.WORD_BITS)
+        else:
+            self._cell.flip_bit(bit)
+
     def flip_data_bit(self, bit: int) -> None:
         """Inject a transient fault into data bit *bit*."""
         if self.kind is ProtectionKind.PARITY:

@@ -19,9 +19,6 @@ import math
 import random
 from typing import Optional
 
-from repro.coding.hamming import CODEWORD_BITS
-from repro.coding.parity import WORD_BITS
-from repro.coding.protection import ProtectionKind
 from repro.errors.models import ErrorModel, FaultSite, make_model
 
 
@@ -104,16 +101,8 @@ class FaultInjector:
             return
         if site.word_index >= len(block.words):
             return
-        word = block.words[site.word_index]
         self.cache.stats.errors_injected += 1
-        if block.protection is ProtectionKind.ECC:
-            # Bits 0..71 address the full codeword.
-            word._cell.flip_bit(site.bit % CODEWORD_BITS)
-            return
-        if site.bit < WORD_BITS:
-            word._cell.flip_data_bit(site.bit)
-        else:
-            word._cell.flip_parity_bit(site.bit - WORD_BITS)
+        block.words[site.word_index].flip_bit(site.bit)
 
     def force_fault(self, site: FaultSite) -> None:
         """Apply a specific fault immediately (deterministic tests)."""

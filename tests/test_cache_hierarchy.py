@@ -148,7 +148,7 @@ class TestProtectedICache:
         h.fetch(0x400000, 0)
         injector = FaultInjector(h.l1i, 0.0)
         block = h.l1i.probe(h.l1i.geometry.block_addr(0x400000))
-        block.words[0]._cell.flip_data_bit(3)
+        block.words[0].flip_data_bit(3)
         h.l1i.stats.errors_injected += 1
         h._last_fetch_block = -1  # force a real iL1 access
         latency = h.fetch(0x400000, 100)

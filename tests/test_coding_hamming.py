@@ -1,16 +1,21 @@
 """Unit and property tests for the (72, 64) SEC-DED Hamming code."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding.hamming import (
+    _CHECK_POSITIONS,
+    _DATA_POSITIONS,
     CODEWORD_BITS,
     DATA_BITS,
+    DecodeResult,
     DecodeStatus,
     EccWord,
+    _syndrome,
     decode,
     encode,
     extract_data,
@@ -18,6 +23,113 @@ from repro.coding.hamming import (
 
 WORDS = st.integers(min_value=0, max_value=(1 << 64) - 1)
 BITS = st.integers(min_value=0, max_value=CODEWORD_BITS - 1)
+
+
+# -- bit-loop reference codecs (the oracle for the table-driven ones) -------
+
+
+def ref_encode(data: int) -> int:
+    """Place the data bits, then compute each check bit by a bit loop."""
+    data &= (1 << DATA_BITS) - 1
+    codeword = 0
+    for i, pos in enumerate(_DATA_POSITIONS):
+        if (data >> i) & 1:
+            codeword |= 1 << pos
+    # Hamming check bit at position 2**i covers every position whose binary
+    # representation has bit i set.
+    for pos in _CHECK_POSITIONS:
+        covered = 0
+        for p in range(1, CODEWORD_BITS):
+            if p & pos and (codeword >> p) & 1:
+                covered ^= 1
+        if covered:
+            codeword |= 1 << pos
+    # Overall parity over positions 1..71 stored at position 0.
+    if (codeword >> 1).bit_count() & 1:
+        codeword |= 1
+    return codeword
+
+
+def ref_syndrome(codeword: int) -> int:
+    """XOR of the positions of all set bits in positions 1..71."""
+    syndrome = 0
+    rest = codeword >> 1
+    pos = 1
+    while rest:
+        if rest & 1:
+            syndrome ^= pos
+        rest >>= 1
+        pos += 1
+    return syndrome
+
+
+def ref_extract_data(codeword: int) -> int:
+    data = 0
+    for i, pos in enumerate(_DATA_POSITIONS):
+        if (codeword >> pos) & 1:
+            data |= 1 << i
+    return data
+
+
+def ref_decode(codeword: int) -> DecodeResult:
+    """The extended-Hamming decision table over the reference codecs."""
+    syndrome = ref_syndrome(codeword)
+    overall_odd = codeword.bit_count() & 1 == 1
+    if syndrome == 0:
+        status = DecodeStatus.CORRECTED if overall_odd else DecodeStatus.OK
+        return DecodeResult(ref_extract_data(codeword), status)
+    if overall_odd and syndrome < CODEWORD_BITS:
+        corrected = codeword ^ (1 << syndrome)
+        return DecodeResult(ref_extract_data(corrected), DecodeStatus.CORRECTED)
+    return DecodeResult(ref_extract_data(codeword), DecodeStatus.DETECTED)
+
+
+def _single_byte_values(n_bytes: int):
+    """Every byte value at every byte position of an *n_bytes* word."""
+    for k in range(n_bytes):
+        for v in range(256):
+            yield v << (8 * k)
+
+
+class TestTablesMatchReference:
+    """The byte-sliced tables equal the bit-loop codecs everywhere checked."""
+
+    CODEWORD = ref_encode(0x0123456789ABCDEF)
+
+    def test_encode_every_single_byte(self):
+        for word in _single_byte_values(8):
+            assert encode(word) == ref_encode(word), hex(word)
+
+    def test_extract_and_syndrome_every_single_byte(self):
+        for codeword in _single_byte_values(9):
+            assert extract_data(codeword) == ref_extract_data(codeword), hex(codeword)
+            assert _syndrome(codeword) == ref_syndrome(codeword), hex(codeword)
+
+    def test_random_words_and_codewords(self):
+        rng = random.Random(2003)
+        for _ in range(10_000):
+            word = rng.getrandbits(DATA_BITS)
+            assert encode(word) == ref_encode(word), hex(word)
+            codeword = rng.getrandbits(CODEWORD_BITS)
+            assert extract_data(codeword) == ref_extract_data(codeword)
+            assert _syndrome(codeword) == ref_syndrome(codeword)
+            assert decode(codeword) == ref_decode(codeword)
+
+    def test_decode_every_single_flip(self):
+        for bit in range(CODEWORD_BITS):
+            flipped = self.CODEWORD ^ (1 << bit)
+            assert decode(flipped) == ref_decode(flipped), f"bit {bit}"
+
+    def test_decode_every_double_flip(self):
+        pairs = list(itertools.combinations(range(CODEWORD_BITS), 2))
+        assert len(pairs) == 2556
+        for a, b in pairs:
+            flipped = self.CODEWORD ^ (1 << a) ^ (1 << b)
+            assert decode(flipped) == ref_decode(flipped), f"bits {a},{b}"
+
+    def test_negative_and_wide_data_masked_like_reference(self):
+        for word in (-1, -(1 << 40) - 7, (1 << 64) | 5, (0xAB << 64) | 0xFF):
+            assert encode(word) == ref_encode(word)
 
 
 class TestEncode:

@@ -1,5 +1,7 @@
 """Unit and property tests for byte-granularity even parity."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,34 @@ from repro.coding.parity import (
 )
 
 WORDS = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+def ref_byte_parity_bits(word: int) -> int:
+    """Bit-loop reference (the oracle for the fold-and-gather codec)."""
+    word &= (1 << WORD_BITS) - 1
+    bits = 0
+    for i in range(BYTES_PER_WORD):
+        if bin((word >> (8 * i)) & 0xFF).count("1") & 1:
+            bits |= 1 << i
+    return bits
+
+
+class TestMatchesReference:
+    def test_every_single_byte(self):
+        for k in range(BYTES_PER_WORD):
+            for v in range(256):
+                word = v << (8 * k)
+                assert byte_parity_bits(word) == ref_byte_parity_bits(word)
+
+    def test_random_words(self):
+        rng = random.Random(2003)
+        for _ in range(10_000):
+            word = rng.getrandbits(WORD_BITS)
+            assert byte_parity_bits(word) == ref_byte_parity_bits(word), hex(word)
+
+    def test_negative_and_wide_words_masked_like_reference(self):
+        for word in (-1, -(1 << 40) - 7, (1 << 64) | 5, (0xAB << 64) | 0xFF):
+            assert byte_parity_bits(word) == ref_byte_parity_bits(word)
 
 
 class TestByteParityBits:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.coding.hamming import CODEWORD_BITS
+from repro.coding.parity import BYTES_PER_WORD, WORD_BITS, byte_parity_bits
 from repro.coding.protection import (
     ProtectedWord,
     ProtectionKind,
@@ -66,6 +68,35 @@ class TestProtectedWord:
             cell.flip_data_bit(bit)
             assert cell.raw_data == (1 << bit)
             assert cell.read().error_detected
+
+    def test_ecc_flip_bit_addresses_the_codeword(self):
+        for bit in range(CODEWORD_BITS):
+            cell = ProtectedWord(ProtectionKind.ECC, 99)
+            clean = cell._cell.codeword
+            cell.flip_bit(bit)
+            assert cell._cell.codeword == clean ^ (1 << bit)
+            outcome = cell.read()
+            assert outcome.corrected and outcome.data == 99
+
+    def test_parity_flip_bit_addresses_data_then_parity(self):
+        for bit in range(WORD_BITS + BYTES_PER_WORD):
+            cell = ProtectedWord(ProtectionKind.PARITY, 99)
+            cell.flip_bit(bit)
+            if bit < WORD_BITS:
+                assert cell.raw_data == 99 ^ (1 << bit)
+                assert cell._cell.parity == byte_parity_bits(99)
+            else:
+                assert cell.raw_data == 99
+                assert cell._cell.parity == byte_parity_bits(99) ^ (
+                    1 << (bit - WORD_BITS)
+                )
+            assert cell.read().error_detected
+
+    @pytest.mark.parametrize("kind", list(ProtectionKind))
+    def test_flip_bit_rejects_bits_outside_the_word(self, kind):
+        cell = ProtectedWord(kind, 0)
+        with pytest.raises(ValueError):
+            cell.flip_bit(CODEWORD_BITS)
 
 
 class TestEnergyFractions:
