@@ -28,6 +28,14 @@ Metrics (higher is better):
     measured warm — trace memo, prestage memo and the native phase-2
     kernel are primed by an untimed pass.  The ratio against the object
     number above is the array kernel's end-to-end speedup.
+``end_to_end_sims_per_sec_fault``
+    One Fig. 14 Monte Carlo trial (gzip, ICR-P-PS(S), 20k instructions,
+    ``error_rate=1e-2``) per second on the object kernel: bit-accurate
+    words, the fault injector and the recovery paths.
+``end_to_end_sims_per_sec_fault_array``
+    The same trial under ``backend="array"``, which runs it on the
+    per-access SoA kernel (``array-soa``) — the tier every campaign trial
+    takes under ``backend="auto"``.
 ``cold_sweep_sims_per_sec``
     Same grid but with cold in-process trace memo (includes trace
     generation / trace-cache time, the sweep-level view).
@@ -129,6 +137,29 @@ def bench_end_to_end(repeats: int, *, cold: bool, backend: str = "object") -> fl
     return len(grid) / _best_of(run, repeats)
 
 
+def bench_fault_trial(repeats: int, backend: str) -> float:
+    """Fault-injected Fig. 14 trials per second through the same runner."""
+    from repro.harness.runner import Job, ParallelRunner
+    from repro.workloads.generator import trace_for
+    from repro.workloads.spec2000 import profile_for
+
+    n_instructions = 20_000
+    job = Job(
+        "gzip",
+        "ICR-P-PS(S)",
+        dict(
+            n_instructions=n_instructions,
+            error_rate=1e-2,
+            error_seed=2024,
+            backend=backend,
+        ),
+    )
+    trace_for(profile_for("gzip"), n_instructions)
+    return 1 / _best_of(
+        lambda: ParallelRunner(jobs=1, cache=None).run([job]), repeats
+    )
+
+
 def bench_trace_generation(repeats: int) -> float:
     from repro.workloads.generator import WorkloadGenerator
     from repro.workloads.spec2000 import profile_for
@@ -146,6 +177,10 @@ def collect_metrics(repeats: int) -> dict[str, float]:
         "end_to_end_sims_per_sec": bench_end_to_end(repeats, cold=False),
         "end_to_end_sims_per_sec_array": bench_end_to_end(
             repeats, cold=False, backend="array"
+        ),
+        "end_to_end_sims_per_sec_fault": bench_fault_trial(repeats, "object"),
+        "end_to_end_sims_per_sec_fault_array": bench_fault_trial(
+            repeats, "array"
         ),
         "cold_sweep_sims_per_sec": bench_end_to_end(repeats, cold=True),
         "trace_generation_instr_per_sec": bench_trace_generation(repeats),

@@ -73,7 +73,13 @@ def test_backend_mode_tiers():
     assert mode("ICR-P-PS(S)", scheme_kwargs={"decay_window": 2048}) == (
         "array-soa"
     )
-    # Fault injection and the non-ICR baselines fall back to objects.
-    assert mode("ICR-P-PS(S)", error_rate=1e-3) == "object"
+    # Fault injection is cycle-driven, so it runs per access on the SoA
+    # cache with bit-accurate words.
+    assert mode("ICR-P-PS(S)", error_rate=1e-3) == "array-soa"
+    assert mode("BaseECC", error_rate=1e-2, error_model="burst") == "array-soa"
+    # Scrubbing and vulnerability sampling walk CacheBlocks, and the
+    # non-ICR baselines have no SoA port: they fall back to objects.
+    assert mode("ICR-P-PS(S)", error_rate=1e-3, scrub_period=500) == "object"
+    assert mode("ICR-P-PS(S)", measure_vulnerability=True) == "object"
     assert mode("rcache") == "object"
     assert mode("victim-cache") == "object"

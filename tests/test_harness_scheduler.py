@@ -492,13 +492,18 @@ class TestRunnerSession:
 
 class TestBackendAutoDispatch:
     def test_auto_resolves_per_cell(self):
-        # Error-injection cells need the object kernel (the array tiers
-        # require error_rate == 0), so "auto" at a nonzero error rate
-        # must fall back per cell rather than refusing the campaign.
+        # Error-injection cells run on the per-access SoA kernel; a
+        # scrubbing campaign walks CacheBlocks, so there "auto" must fall
+        # back per cell rather than refusing the campaign.
         config = small_config(backend="auto")
         for cell in config.cells():
-            assert config.trial_backend(cell) == "object"
-            assert config.trial_spec(cell, 0, 0).backend == "object"
+            assert config.trial_mode(cell) == "array-soa"
+            assert config.trial_backend(cell) == "array"
+            assert config.trial_spec(cell, 0, 0).backend == "array"
+        scrubbed = small_config(backend="auto", scrub_period=500)
+        for cell in scrubbed.cells():
+            assert scrubbed.trial_backend(cell) == "object"
+            assert scrubbed.trial_spec(cell, 0, 0).backend == "object"
 
     def test_auto_prefers_array_when_supported(self):
         config = CampaignConfig(
@@ -514,9 +519,9 @@ class TestBackendAutoDispatch:
         assert config.trial_backend(cell) == "array"
 
     def test_auto_report_matches_object_backend(self):
-        # Error-injection campaigns resolve every cell to the object
-        # kernel, so "auto" must not perturb the campaign digest's
-        # trial population — only the digest itself differs.
+        # Under "auto" error-injection campaigns run every cell on the
+        # per-access SoA kernel; the trial population must match the
+        # object backend's exactly — only the digest itself differs.
         base = small_config(trials=2, batch_size=2)
         auto = small_config(trials=2, batch_size=2, backend="auto")
         ref = round_report(base, jobs=1)
