@@ -53,6 +53,10 @@ class ICRCache(SetAssociativeCache):
     schemes of Section 3.2.
     """
 
+    #: L2 latency charged for an error refetch (the hierarchy overrides
+    #: it per instance for the protected iL1).
+    error_refetch_latency = 6
+
     def __init__(self, config: ICRConfig):
         super().__init__(config.geometry, name="dl1", replacement=config.replacement)
         self.config = config
@@ -85,7 +89,6 @@ class ICRCache(SetAssociativeCache):
         self.monitor = None
         # Optional background scrubber (repro.errors.scrubber).
         self.scrubber = None
-        self.error_refetch_latency = 6  # L2 latency charged for error refetch
         # Error-free "memory image" backing the bit-accurate mode: the
         # golden contents of every block the program has touched.
         self._memory_image: dict[int, list[int]] = {}
