@@ -269,26 +269,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the full campaign report as JSON",
     )
     campaign.add_argument(
-        "--scheduler",
-        choices=("round", "stealing"),
-        default="round",
-        help="execution discipline: synchronous rounds, or the "
-        "continuous work-stealing scheduler (identical report, better "
-        "worker utilization, mid-flight convergence cancellation)",
-    )
-    campaign.add_argument(
         "--max-inflight",
         type=int,
         default=None,
         metavar="N",
-        help="work-stealing only: cap on queued+running trials "
-        "(default 4x the worker count)",
+        help="cap on queued+running trials (default 4x the worker count)",
     )
     campaign.add_argument(
         "--share-dir",
         default=None,
         metavar="DIR",
-        help="work-stealing only: cooperate with other engines through "
+        help="cooperate with other engines through "
         "lease/record files in DIR (they partition the cell grid and "
         "warm each other's caches)",
     )
@@ -306,12 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=".repro-service",
         metavar="DIR",
         help="persistent job queue directory (jobs survive restarts)",
-    )
-    serve.add_argument(
-        "--scheduler",
-        choices=("round", "stealing"),
-        default="stealing",
-        help="campaign execution discipline (default: stealing)",
     )
     serve.add_argument(
         "--timeout",
@@ -513,7 +498,7 @@ def _split_flag(values, cast=str) -> list:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.harness.campaign import CampaignConfig, create_engine
+    from repro.harness.campaign import CampaignConfig, CampaignEngine
 
     benchmarks = _split_flag(args.benchmark)
     unknown = [b for b in benchmarks if b not in BENCHMARKS]
@@ -556,16 +541,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     runner = _make_runner(args)
     if args.timeout is not None:
         runner.timeout = args.timeout
-    engine_kwargs = dict(
+    engine = CampaignEngine(
+        config,
+        runner,
         checkpoint_path=checkpoint,
         trial_log_path=args.trial_log,
         verbose=True,
-    )
-    if args.scheduler == "stealing":
-        engine_kwargs["max_inflight"] = args.max_inflight
-        engine_kwargs["share_dir"] = args.share_dir
-    engine = create_engine(
-        config, runner, scheduler=args.scheduler, **engine_kwargs
+        max_inflight=args.max_inflight,
+        share_dir=args.share_dir,
     )
     if engine.resumed:
         print("[campaign] resumed from checkpoint", file=sys.stderr)
@@ -581,24 +564,20 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _telemetry_line(t: dict) -> str:
-    """One stderr line of scheduler telemetry after a campaign."""
+    """One stderr line of engine telemetry after a campaign."""
     line = (
-        f"[campaign] scheduler={t['scheduler']} · "
-        f"{t['trials_committed']} committed · "
-        f"{t['checkpoint_writes']} checkpoint writes"
+        f"[campaign] {t['trials_committed']} committed · "
+        f"{t['checkpoint_writes']} checkpoint writes · "
+        f"{t['utilization'] * 100:.0f}% util · "
+        f"{t['steals']} steals · "
+        f"{t['cancelled_savings']} cancelled · "
+        f"{t['speculative_duplicates']} dups"
     )
-    if t["scheduler"] == "stealing":
+    if t["records_adopted"] or t["helper_trials"]:
         line += (
-            f" · {t['utilization'] * 100:.0f}% util · "
-            f"{t['steals']} steals · "
-            f"{t['cancelled_savings']} cancelled · "
-            f"{t['speculative_duplicates']} dups"
+            f" · {t['records_adopted']} adopted · "
+            f"{t['helper_trials']} helper trials"
         )
-        if t["records_adopted"] or t["helper_trials"]:
-            line += (
-                f" · {t['records_adopted']} adopted · "
-                f"{t['helper_trials']} helper trials"
-            )
     return line
 
 
@@ -611,7 +590,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
         queue_dir=args.queue_dir,
-        campaign_scheduler=args.scheduler,
         timeout=args.timeout,
     )
     print(

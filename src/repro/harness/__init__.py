@@ -9,7 +9,6 @@ from repro.harness.cache import (
     result_to_dict,
 )
 from repro.harness.campaign import (
-    SCHEDULERS,
     CampaignConfig,
     CampaignEngine,
     CampaignReport,
@@ -39,7 +38,6 @@ from repro.harness.runner import (
     RunnerStats,
     TrialHandle,
 )
-from repro.harness.scheduler import StealingCampaignEngine
 from repro.harness.spec import (
     DEFAULT_INSTRUCTIONS,
     ExperimentSpec,
@@ -61,8 +59,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignEngine",
     "CampaignReport",
-    "SCHEDULERS",
-    "StealingCampaignEngine",
     "create_engine",
     "run_campaign",
     "BootstrapCI",

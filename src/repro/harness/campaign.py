@@ -31,15 +31,43 @@ Design points, in the order a long campaign meets them:
   same checkpoint resumes exactly where the interrupted one stopped and
   produces a byte-identical final report (everything downstream of the
   records — bootstrap resampling included — is deterministic).
-* **Two schedulers, one report.**  :class:`CampaignEngine` executes in
-  synchronous rounds; the work-stealing engine in
-  :mod:`repro.harness.scheduler` streams trials continuously and
-  cancels queued work the moment a cell converges.  Because adaptive
-  stopping is only consulted at batch-aligned record counts (a pure
-  function of the committed records, never of completion order or
-  timing), both schedulers commit the *same* trial set and render
-  byte-identical reports — pick with :func:`create_engine` or the
-  ``scheduler=`` argument of :func:`run_campaign`.
+* **Work stealing.**  Every cell keeps its own task deque (retries
+  first, then fresh trial indices); one
+  :class:`~repro.harness.runner.RunnerSession` executes trials
+  continuously, and the dispatcher refills worker capacity the instant
+  a trial completes — stealing from another cell's deque when the cell
+  that just freed the slot has nothing left to run.  A straggler that
+  looks pathological gets one duplicate of the *same* spec, so
+  whichever copy finishes first yields the identical result.
+* **Deterministic reports.**  The report is a pure function of the
+  config, pinned in ``tests/golden/campaign_reports.json`` and
+  byte-identical across worker counts, speculation depths and resumes:
+
+  - the stopping rule (``_cell_done``: trial budget, circuit breaker,
+    adaptive stopping) is consulted only at batch-aligned committed
+    record counts, so it reads the committed records alone — never
+    completion order, timing or worker count;
+  - results are *staged* as they arrive out of order and committed
+    strictly in contiguous trial-index order, an index only once its
+    whole retry chain has resolved, so at every batch boundary the
+    committed set is the same however the trials ran;
+  - work past the batch the stopping rule has already approved is
+    *speculative*: submitted early to keep workers busy, committed only
+    once the boundary decision lets the cell continue.  When a cell
+    converges its queued trials are revoked mid-flight and its staged
+    results discarded — they were never committed, so the report
+    cannot see them.  With ``lookahead_batches=0`` nothing is
+    speculative and a cell's batches run one after another;
+  - aggregation (bootstrap CIs included) is deterministic given the
+    records, and the report sorts records by ``(index, attempt)``.
+* **Multi-host cooperation** (``share_dir=``).  Engines pointed at the
+  same share directory claim cells one at a time through TTL-bounded
+  :class:`~repro.harness.cache.FileLease` files, publish their
+  committed records as they go, adopt each other's published records,
+  take over stale leases after a crash, and — when every remaining cell
+  is owned by a live peer — run *helper* trials that warm the shared
+  result cache without committing anything.  One committer per cell
+  keeps the determinism argument intact.
 """
 
 from __future__ import annotations
@@ -47,8 +75,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import socket
 import sys
 import time
+import uuid
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -57,6 +88,7 @@ from typing import Any, Mapping, Optional, Union
 from repro import recovery
 from repro.chaos import runtime as _chaos
 from repro.core.registry import normalize_scheme_name, scheme_info
+from repro.harness.cache import FileLease
 from repro.harness.report import format_table
 from repro.harness.runner import Job, ParallelRunner, RunnerError
 from repro.harness.spec import ExperimentSpec, MachineConfig
@@ -111,8 +143,8 @@ class CampaignConfig:
     #: stops scheduling — a systematically-crashing configuration costs
     #: one batch or two, not an endless retry grind.  Checked only at
     #: batch-aligned committed counts, so the decision is a pure
-    #: function of the committed records (the round/stealing
-    #: byte-identity contract).  0 disables the breaker.
+    #: function of the committed records (the byte-identical report
+    #: contract).  0 disables the breaker.
     breaker_threshold: int = 5
     n_instructions: int = 40_000
     error_model: str = "random"
@@ -126,7 +158,7 @@ class CampaignConfig:
     #: honor (per :func:`repro.core.array_kernel.backend_mode`) run with
     #: ``backend="array"``, everything else falls back to "object" —
     #: the resolution is a pure function of the cell, so it never
-    #: depends on which scheduler (or host) runs the trial.
+    #: depends on which worker (or host) runs the trial.
     backend: str = "object"
     #: Extra scheme kwargs applied to non-Base schemes (e.g. the relaxed
     #: decay/victim knobs); normalized to a sorted tuple of pairs.
@@ -215,7 +247,7 @@ class CampaignConfig:
         """The kernel tier the cell's trials execute on.
 
         One of ``array-batched`` / ``array-soa`` / ``object`` — the
-        scheduler's per-backend latency telemetry is keyed by this.
+        engine's per-backend latency telemetry is keyed by this.
         """
         if self.backend == "object":
             return "object"
@@ -473,8 +505,64 @@ class CampaignReport:
         return format_table(columns, rows)
 
 
+#: Log-spaced per-trial latency histogram bucket edges (seconds).
+HIST_EDGES = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0)
+
+
+def _latency_summary(values: list) -> dict:
+    """Order statistics plus a log-bucket histogram of trial latencies."""
+    vals = sorted(values)
+    n = len(vals)
+    counts = [0] * (len(HIST_EDGES) + 1)
+    for v in vals:
+        i = 0
+        while i < len(HIST_EDGES) and v >= HIST_EDGES[i]:
+            i += 1
+        counts[i] += 1
+    return {
+        "count": n,
+        "mean": sum(vals) / n,
+        "p50": vals[n // 2],
+        "p90": vals[min(n - 1, (9 * n) // 10)],
+        "max": vals[-1],
+        "histogram": {"edges": list(HIST_EDGES), "counts": counts},
+    }
+
+
+@dataclass
+class _CellRun:
+    """Scheduling state of one cell during a run (the committed state
+    lives in the engine's :class:`CellOutcome`)."""
+
+    cell: Cell
+    done: bool = False
+    owned: bool = True
+    next_submit: int = 0
+    #: (index, attempt) pairs waiting to be resubmitted after a failure.
+    retries: deque = field(default_factory=deque)
+    #: index -> [(attempt, result), ...] staged, not yet committed.
+    staged: dict = field(default_factory=dict)
+    #: Indices whose retry chain has fully resolved (commit-eligible).
+    resolved: set = field(default_factory=set)
+    #: (index, attempt) -> TrialHandle for primary submissions.
+    inflight: dict = field(default_factory=dict)
+    #: (index, attempt) -> TrialHandle for speculative duplicates.
+    dups: dict = field(default_factory=dict)
+    #: Outstanding helper handles (unowned cells, cache warming only).
+    helpers: list = field(default_factory=list)
+    #: Committed count the stopping rule was last evaluated at (memo).
+    checked: int = -1
+    lease: Optional[FileLease] = None
+    #: Next index a helper trial would warm for this (unowned) cell.
+    helper_next: int = 0
+    #: Record count at the last publish (skip no-op publishes).
+    published: int = -1
+    #: monotonic time of the last failed lease-claim attempt (throttle).
+    last_claim: float = -1e9
+
+
 class CampaignEngine:
-    """Runs a :class:`CampaignConfig` to completion, round by round.
+    """Runs a :class:`CampaignConfig` to completion by work stealing.
 
     Parameters
     ----------
@@ -484,11 +572,11 @@ class CampaignEngine:
         A :class:`~repro.harness.runner.ParallelRunner` (bring your own
         worker count / result cache); default is serial and uncached.
     checkpoint_path:
-        JSON checkpoint location.  Written atomically after every
-        round; loaded on construction when it exists and its config
+        JSON checkpoint location.  Written atomically on the cadence
+        below; loaded on construction when it exists and its config
         digest matches.  ``None`` disables checkpointing.
     trial_log_path:
-        Optional JSONL file appended with one line per finished trial
+        Optional JSONL file appended with one line per committed trial
         attempt — the full :meth:`SimulationResult.to_dict` payload for
         successes, the error text for failures.
     checkpoint_every_trials / checkpoint_interval:
@@ -500,12 +588,31 @@ class CampaignEngine:
         A run always flushes on exit (completion or early stop), so
         resumability never depends on the cadence.
     verbose:
-        When true, one progress line per round goes to *stream*
+        When true, one progress line per finished cell goes to *stream*
         (default ``sys.stderr``).
+    workers:
+        Session worker-process count (default: the runner's ``jobs``).
+    max_inflight:
+        Cap on queued-plus-running trials (default ``4 * workers``) —
+        enough lookahead to hide scheduling latency without revoking
+        large swaths of work on convergence.
+    lookahead_batches:
+        How many batches past the firm frontier a cell may speculate
+        (0 disables speculation; only meaningful with adaptive
+        stopping).
+    speculate_after:
+        Seconds an in-flight trial must age before a duplicate is
+        launched against it; ``None`` auto-tunes to 4x the observed
+        median latency (and disables duplication until 8 latencies are
+        seen).  Duplication needs a real pool (``workers > 1``).
+    share_dir:
+        Directory shared between cooperating engines (lease + published
+        record files).  ``None`` (default) disables cooperation.
+    lease_ttl / coop_interval:
+        Lease staleness horizon and the cadence of renew/publish/adopt
+        ticks; keep ``lease_ttl`` several multiples of
+        ``coop_interval``.
     """
-
-    #: Which scheduling discipline this engine implements (telemetry).
-    SCHEDULER = "round"
 
     def __init__(
         self,
@@ -518,6 +625,13 @@ class CampaignEngine:
         checkpoint_interval: float = 10.0,
         verbose: bool = False,
         stream=None,
+        workers: Optional[int] = None,
+        max_inflight: Optional[int] = None,
+        lookahead_batches: int = 2,
+        speculate_after: Optional[float] = None,
+        share_dir: Union[str, Path, None] = None,
+        lease_ttl: float = 30.0,
+        coop_interval: float = 0.5,
     ):
         self.config = config
         self.runner = runner if runner is not None else ParallelRunner(jobs=1)
@@ -527,20 +641,59 @@ class CampaignEngine:
         self.checkpoint_interval = checkpoint_interval
         self.verbose = verbose
         self.stream = stream if stream is not None else sys.stderr
+        self.workers = (
+            workers if workers and workers > 0 else self.runner.jobs
+        )
+        self.max_inflight = (
+            max_inflight
+            if max_inflight and max_inflight > 0
+            else 4 * self.workers
+        )
+        self.lookahead_batches = max(0, lookahead_batches)
+        self.speculate_after = speculate_after
+        self.share_dir = Path(share_dir) if share_dir else None
+        self.lease_ttl = lease_ttl
+        self.coop_interval = coop_interval
+        self.owner_id = (
+            f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
+        )
         self.digest = config.digest()
         self.outcomes: dict[Cell, CellOutcome] = {
             cell: CellOutcome(cell, []) for cell in config.cells()
         }
-        self.rounds_run = 0
         self.resumed = False
+        # -- telemetry counters (never part of the report) --
         self.checkpoint_writes = 0
         self.breaker_trips = 0
+        self.steals = 0
+        self.speculative_submits = 0
+        self.duplicate_submits = 0
+        self.cancelled_savings = 0
+        self.discarded_results = 0
+        self.records_adopted = 0
+        self.helper_submits = 0
+        self.helper_completed = 0
+        self.helper_warmed = 0
+        self.lease_takeovers = 0
+        #: Ordered trace of ("submit", cell_id, index, attempt, kind)
+        #: and ("cell-done", cell_id) events — the zero-trials-after-
+        #: convergence test reads this.
+        self.events: list = []
+        self._busy = 0.0
+        self._run_elapsed = 0.0
+        self._latency: dict = {}
+        self._submit_times: dict = {}
+        self._cells: dict = {}
+        self._order: list = []
+        self._rr = 0
+        self._commits = 0
+        self._last_coop = -1e9
         self._dirty_records = 0
         self._last_checkpoint = time.monotonic()
         if self.checkpoint_path is not None:
             self.resumed = self._load_checkpoint()
 
-    # -- scheduling -------------------------------------------------------
+    # -- stopping rule ----------------------------------------------------
 
     def _next_index(self, outcome: CellOutcome) -> int:
         """Indices are attempted contiguously; the next is 1 + highest."""
@@ -549,15 +702,15 @@ class CampaignEngine:
         return 1 + max(r.index for r in outcome.records)
 
     def _cell_done(self, outcome: CellOutcome) -> bool:
-        """Pure stopping rule shared by every scheduler.
+        """The pure stopping rule.
 
         Adaptive stopping is only consulted at *batch-aligned* record
         counts (multiples of ``batch_size``).  That makes the decision a
-        function of the committed records alone — independent of which
-        scheduler produced them, of completion order, and of where a
-        checkpoint happened to land — which is the invariant behind the
-        round/stealing byte-identical-report contract and behind
-        resuming a mid-batch checkpoint under either scheduler.
+        function of the committed records alone — independent of worker
+        count, completion order, speculation depth and of where a
+        checkpoint happened to land — which is the invariant behind
+        byte-identical reports and behind resuming a mid-batch
+        checkpoint.
         """
         next_index = self._next_index(outcome)
         if next_index >= self.config.trials:
@@ -647,70 +800,311 @@ class CampaignEngine:
         b = self.config.batch_size
         return min(b * (start // b + 1), self.config.trials)
 
-    def _schedule_round(self) -> list[tuple[Cell, int, int]]:
-        """(cell, trial index, attempt 0) tuples for the next round."""
-        work = []
-        for cell in self.config.cells():
-            outcome = self.outcomes[cell]
-            if self._cell_done(outcome):
-                continue
-            start = self._next_index(outcome)
-            work.extend(
-                (cell, index, 0) for index in range(start, self._batch_stop(start))
-            )
-        return work
+    # -- frontier geometry ------------------------------------------------
 
-    # -- execution --------------------------------------------------------
+    def _firm_end(self, cs: _CellRun) -> int:
+        """End of the batch the stopping rule has already approved."""
+        committed = self._next_index(self.outcomes[cs.cell])
+        if committed >= self.config.trials:
+            return committed
+        return self._batch_stop(committed)
 
-    def run(self, max_rounds: Optional[int] = None) -> CampaignReport:
-        """Run rounds until every cell is done (or *max_rounds* is hit).
+    def _submit_limit(self, cs: _CellRun) -> int:
+        """First index this cell may *not* submit yet.
 
-        *max_rounds* exists for tests and incremental driving; a report
-        built after an early stop is marked ``complete=False``.
+        Without adaptive stopping every index up to ``trials`` is firm.
+        With it, the firm batch plus ``lookahead_batches`` speculative
+        batches may be in flight; anything beyond waits for the next
+        boundary decision.
         """
-        rounds = 0
+        if cs.done:
+            return 0
+        if self.config.target_half_width is None:
+            return self.config.trials
+        return min(
+            self._firm_end(cs)
+            + self.lookahead_batches * self.config.batch_size,
+            self.config.trials,
+        )
+
+    # -- run loop ---------------------------------------------------------
+
+    def run(self, max_trials: Optional[int] = None) -> CampaignReport:
+        """Stream trials until every cell is done (or *max_trials* is hit).
+
+        *max_trials* bounds the records committed by this call (tests and
+        incremental driving use it); a report built after such an early
+        stop is marked ``complete=False``.
+        """
+        t0 = time.monotonic()
+        coop = self.share_dir is not None
+        self._cells = {cell: _CellRun(cell) for cell in self.config.cells()}
+        self._order = list(self._cells.values())
+        self._rr = 0
+        self._commits = 0
+        for cs in self._order:
+            outcome = self.outcomes[cs.cell]
+            cs.next_submit = self._next_index(outcome)
+            cs.helper_next = cs.next_submit
+            cs.owned = not coop
+            self._drain(cs, None)  # checkpointed records may finish a cell
+        if coop:
+            (self.share_dir / "leases").mkdir(parents=True, exist_ok=True)
+            (self.share_dir / "cells").mkdir(parents=True, exist_ok=True)
+        session = self.runner.session(workers=self.workers)
+        last_cell = None
         try:
-            while max_rounds is None or rounds < max_rounds:
-                work = self._schedule_round()
-                if not work:
-                    break
-                self._run_round(work)
-                rounds += 1
-                self.rounds_run += 1
-                self._maybe_checkpoint()
-                if self.verbose:
-                    done = sum(
-                        len(o.ok_records()) for o in self.outcomes.values()
+            with session:
+                while True:
+                    if all(cs.done for cs in self._order):
+                        break
+                    if max_trials is not None and self._commits >= max_trials:
+                        break
+                    if coop:
+                        self._coop_tick(session)
+                    self._dispatch(session, last_cell)
+                    last_cell = None
+                    handle = session.next_completed(
+                        timeout=self.coop_interval if coop else None
                     )
-                    print(
-                        f"[campaign] round {self.rounds_run}: "
-                        f"{done} ok trials across {len(self.outcomes)} cells",
-                        file=self.stream,
-                    )
+                    if handle is None:
+                        if session.outstanding() == 0:
+                            if not coop:
+                                break  # defensive: nothing runnable
+                            time.sleep(min(0.05, self.coop_interval))
+                        continue
+                    last_cell = handle.tag[0]
+                    self._on_complete(session, handle)
         finally:
-            self._maybe_checkpoint(force=True)
+            try:
+                if coop:
+                    for cs in self._order:
+                        if cs.owned:
+                            self._publish(cs)
+                            self._release(cs)
+            finally:
+                self._submit_times.clear()
+                self._maybe_checkpoint(force=True)
+                self._run_elapsed += time.monotonic() - t0
         return self.report()
 
-    def _run_round(self, work: list[tuple[Cell, int, int]]) -> None:
-        """Drive every scheduled trial of one round to closure."""
-        while work:
-            jobs = [
-                Job.from_spec(self.config.trial_spec(cell, index, attempt))
-                for cell, index, attempt in work
-            ]
-            results = self.runner.run(jobs, on_error="return")
-            retries: list[tuple[Cell, int, int]] = []
-            for (cell, index, attempt), job, result in zip(work, jobs, results):
-                self._record(cell, index, attempt, result)
-                if (
-                    isinstance(result, RunnerError)
-                    and attempt < self.config.max_trial_retries
-                ):
-                    retries.append((cell, index, attempt + 1))
-            work = retries
+    # -- dispatch ---------------------------------------------------------
+
+    def _dispatch(self, session, freed_cell=None) -> None:
+        """Refill worker capacity from the per-cell deques.
+
+        The first refill after a completion prefers the cell that just
+        freed the slot; serving any other cell instead is counted as a
+        steal.  Once regular work runs dry the dispatcher falls back to
+        claiming an unowned cell (multi-host), helper trials, then
+        speculative duplication of stragglers.
+        """
+        prefer = freed_cell
+        while (
+            session.in_flight() < self.max_inflight
+            and session.outstanding() < 4 * self.max_inflight
+        ):
+            picked = self._next_work(prefer)
+            prefer = None
+            if picked is None:
+                if self.share_dir is not None and self._claim_one(session):
+                    continue
+                if self._maybe_helper(session):
+                    continue
+                if self._maybe_duplicate(session):
+                    return  # at most one duplicate per dispatch pass
+                return
+            cs, index, attempt = picked
+            kind = "trial"
+            if (
+                self.config.target_half_width is not None
+                and index >= self._firm_end(cs)
+            ):
+                kind = "spec"
+                self.speculative_submits += 1
+            self._submit(session, cs, index, attempt, kind)
+
+    def _cell_work(self, cs: _CellRun):
+        """The cell's next (index, attempt), or None (retries first)."""
+        if cs.done or not cs.owned:
+            return None
+        if cs.retries:
+            return cs.retries.popleft()
+        if cs.next_submit < self._submit_limit(cs):
+            index = cs.next_submit
+            cs.next_submit += 1
+            return (index, 0)
+        return None
+
+    def _next_work(self, prefer: Optional[Cell]):
+        """Pick the next (cell, index, attempt), stealing if needed."""
+        if prefer is not None:
+            cs = self._cells.get(prefer)
+            if cs is not None:
+                work = self._cell_work(cs)
+                if work is not None:
+                    return (cs, *work)
+        n = len(self._order)
+        for k in range(n):
+            cs = self._order[(self._rr + k) % n]
+            work = self._cell_work(cs)
+            if work is not None:
+                self._rr = (self._rr + k) % n
+                if prefer is not None and cs.cell != prefer:
+                    self.steals += 1
+                return (cs, *work)
+        return None
+
+    def _submit(self, session, cs, index, attempt, kind):
+        spec = self.config.trial_spec(cs.cell, index, attempt)
+        handle = session.submit(
+            Job.from_spec(spec), tag=(cs.cell, index, attempt, kind)
+        )
+        self._submit_times[handle] = time.monotonic()
+        self.events.append(("submit", cs.cell.id, index, attempt, kind))
+        if kind == "helper":
+            cs.helpers.append(handle)
+            self.helper_submits += 1
+        elif kind == "dup":
+            cs.dups[(index, attempt)] = handle
+            self.duplicate_submits += 1
+        else:
+            cs.inflight[(index, attempt)] = handle
+        return handle
+
+    def _maybe_duplicate(self, session) -> bool:
+        """Launch one duplicate of the oldest pathological straggler."""
+        if self.workers <= 1:
+            return False
+        threshold = self.speculate_after
+        if threshold is None:
+            latencies = [v for vals in self._latency.values() for v in vals]
+            if len(latencies) < 8:
+                return False
+            threshold = max(1.0, 4 * sorted(latencies)[len(latencies) // 2])
+        now = time.monotonic()
+        best = None
+        for cs in self._order:
+            if cs.done:
+                continue
+            for (index, attempt), handle in cs.inflight.items():
+                if (index, attempt) in cs.dups or handle.done:
+                    continue
+                started = self._submit_times.get(handle)
+                if started is None:
+                    continue
+                age = now - started
+                if age >= threshold and (best is None or age > best[0]):
+                    best = (age, cs, index, attempt)
+        if best is None:
+            return False
+        _, cs, index, attempt = best
+        self._submit(session, cs, index, attempt, "dup")
+        return True
+
+    # -- completion + commit ----------------------------------------------
+
+    def _on_complete(self, session, handle) -> None:
+        cell, index, attempt, kind = handle.tag
+        cs = self._cells[cell]
+        started = self._submit_times.pop(handle, None)
+        if started is not None and not handle.cached:
+            elapsed = time.monotonic() - started
+            self._busy += elapsed
+            mode = self.config.trial_mode(cell)
+            self._latency.setdefault(mode, []).append(elapsed)
+        if kind == "helper":
+            self.helper_completed += 1
+            if not handle.cached and not isinstance(handle.result, RunnerError):
+                # A genuinely fresh simulation now sits in the shared
+                # result cache for the owning engine to hit.
+                self.helper_warmed += 1
+            try:
+                cs.helpers.remove(handle)
+            except ValueError:
+                pass
+            return  # cache warmed; the owner commits this trial
+        primary = cs.inflight.pop((index, attempt), None)
+        dup = cs.dups.pop((index, attempt), None)
+        if primary is None and dup is None:
+            return  # twin already processed, or the cell was abandoned
+        twin = dup if handle is primary else primary
+        if twin is not None and twin is not handle:
+            # First completion wins; same spec -> identical result, so
+            # which copy wins never shows in the records.
+            if session.cancel(twin):
+                self.cancelled_savings += 1
+            self._submit_times.pop(twin, None)
+        if cs.done:
+            self.discarded_results += 1
+            return
+        cs.staged.setdefault(index, []).append((attempt, handle.result))
+        if (
+            isinstance(handle.result, RunnerError)
+            and attempt < self.config.max_trial_retries
+        ):
+            cs.retries.append((index, attempt + 1))
+        else:
+            cs.resolved.add(index)
+        self._drain(cs, session)
+
+    def _drain(self, cs: _CellRun, session) -> None:
+        """Commit the resolved contiguous prefix; stop on convergence.
+
+        The stopping rule runs at most once per committed-count value
+        (``cs.checked`` memoizes the boundary evaluation); it only does
+        real work at batch boundaries.
+        """
+        outcome = self.outcomes[cs.cell]
+        while not cs.done:
+            committed = self._next_index(outcome)
+            if committed != cs.checked:
+                cs.checked = committed
+                if self._cell_done(outcome):
+                    cs.done = True
+                    self.events.append(("cell-done", cs.cell.id))
+                    if self.verbose:
+                        print(
+                            f"[campaign] cell {cs.cell.id} done "
+                            f"({len(outcome.records)} records)",
+                            file=self.stream,
+                        )
+                    self._abandon(cs, session)
+                    if self.share_dir is not None and cs.owned:
+                        self._publish(cs)
+                        self._release(cs)
+                    return
+            if committed not in cs.resolved:
+                return
+            cs.resolved.discard(committed)
+            for attempt, result in sorted(
+                cs.staged.pop(committed, ()), key=lambda item: item[0]
+            ):
+                self._record(cs.cell, committed, attempt, result)
+                self._commits += 1
+            self._maybe_checkpoint()
+
+    def _abandon(self, cs: _CellRun, session) -> None:
+        """Revoke a converged cell's queued work, discard its stage."""
+        pending = (
+            list(cs.inflight.values()) + list(cs.dups.values()) + cs.helpers
+        )
+        for handle in pending:
+            if session is not None and session.cancel(handle):
+                self.cancelled_savings += 1
+                self._submit_times.pop(handle, None)
+        cs.inflight.clear()
+        cs.dups.clear()
+        cs.helpers = []
+        self.discarded_results += sum(
+            len(events) for events in cs.staged.values()
+        )
+        cs.staged.clear()
+        cs.resolved.clear()
+        cs.retries.clear()
 
     def _record(self, cell: Cell, index: int, attempt: int, result) -> None:
-        """Commit one trial attempt's outcome (shared by all schedulers)."""
+        """Commit one trial attempt's outcome."""
         seed = self.config.trial_spec(cell, index, attempt).error_seed
         if isinstance(result, RunnerError):
             record = TrialRecord(
@@ -733,6 +1127,152 @@ class CampaignEngine:
             self.outcomes[cell].records.append(record)
             self._log_trial(cell, record, result)
         self._dirty_records += 1
+
+    # -- multi-host cooperation -------------------------------------------
+
+    def _cell_hash(self, cell: Cell) -> str:
+        return hashlib.blake2b(cell.id.encode(), digest_size=12).hexdigest()
+
+    def _lease_for(self, cs: _CellRun) -> FileLease:
+        if cs.lease is None:
+            cs.lease = FileLease(
+                self.share_dir / "leases" / f"{self._cell_hash(cs.cell)}.lease",
+                self.owner_id,
+                ttl=self.lease_ttl,
+            )
+        return cs.lease
+
+    def _release(self, cs: _CellRun) -> None:
+        if cs.lease is not None:
+            cs.lease.release()
+
+    def _publish(self, cs: _CellRun) -> None:
+        """Atomically publish the cell's committed records for peers."""
+        outcome = self.outcomes[cs.cell]
+        if len(outcome.records) == cs.published:
+            return
+        path = self.share_dir / "cells" / f"{self._cell_hash(cs.cell)}.json"
+        payload = {
+            "campaign": self.digest,
+            "done": cs.done,
+            "records": [r.to_dict() for r in outcome.records],
+        }
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        try:
+            _chaos.check_disk_full("publish", str(path))
+            tmp.write_text(json.dumps(payload, sort_keys=True))
+            os.replace(tmp, path)
+        except OSError:
+            # Peers only lose a head start: the next cooperation tick or
+            # the exit publish retries, and the records stay committed
+            # (and checkpointed) locally.
+            recovery.count("publish_write_errors")
+            recovery.warn(
+                "campaign", f"publishing records to {path} failed; continuing"
+            )
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            return
+        cs.published = len(outcome.records)
+
+    def _adopt(self, cs: _CellRun, session) -> None:
+        """Fold a peer's published records into our committed state.
+
+        Published records are the peer's *committed* set — contiguous
+        and boundary-gated — so adopting them wholesale preserves the
+        determinism argument; the local drain re-derives ``done`` and
+        ``stopped_early`` from the records themselves.
+        """
+        path = self.share_dir / "cells" / f"{self._cell_hash(cs.cell)}.json"
+        try:
+            payload = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return
+        if payload.get("campaign") != self.digest:
+            return
+        records = payload.get("records") or []
+        outcome = self.outcomes[cs.cell]
+        if len(records) <= len(outcome.records):
+            return
+        adopted = len(records) - len(outcome.records)
+        outcome.records = [TrialRecord.from_dict(r) for r in records]
+        self.records_adopted += adopted
+        self._dirty_records += adopted
+        cs.checked = -1
+        cs.next_submit = max(cs.next_submit, self._next_index(outcome))
+        cs.helper_next = max(cs.helper_next, cs.next_submit)
+        self._drain(cs, session)
+
+    def _claim_one(self, session) -> bool:
+        """Try to claim one unowned cell's lease (throttled per cell)."""
+        now = time.monotonic()
+        for cs in self._order:
+            if cs.done or cs.owned:
+                continue
+            if now - cs.last_claim < self.coop_interval:
+                continue
+            self._adopt(cs, session)  # it may already be finished
+            if cs.done:
+                continue
+            lease = self._lease_for(cs)
+            was_stale = lease.is_stale() and lease.holder() is not None
+            if lease.acquire():
+                if was_stale:
+                    self.lease_takeovers += 1
+                self._adopt(cs, session)  # start from the peer's frontier
+                cs.owned = True
+                cs.next_submit = self._next_index(self.outcomes[cs.cell])
+                return True
+            cs.last_claim = now
+        return False
+
+    def _coop_tick(self, session) -> None:
+        """Periodic renew / publish / adopt pass (claims happen in
+        dispatch, one cell at a time, so two engines partition the grid
+        instead of one hoarding every lease up front)."""
+        now = time.monotonic()
+        if now - self._last_coop < self.coop_interval:
+            return
+        self._last_coop = now
+        for cs in self._order:
+            if cs.done:
+                continue
+            if cs.owned:
+                lease = self._lease_for(cs)
+                if lease.held():
+                    lease.renew()
+                self._publish(cs)
+            else:
+                self._adopt(cs, session)
+
+    def _maybe_helper(self, session) -> bool:
+        """Warm the shared cache for a cell a live peer owns."""
+        if self.share_dir is None or self.runner.cache is None:
+            return False
+        if sum(len(cs.helpers) for cs in self._order) >= self.workers:
+            return False
+        for cs in self._order:
+            if cs.done or cs.owned:
+                continue
+            outcome = self.outcomes[cs.cell]
+            committed = self._next_index(outcome)
+            cs.helper_next = max(cs.helper_next, committed)
+            if self.config.target_half_width is None:
+                limit = self.config.trials
+            else:
+                limit = min(
+                    self._batch_stop(committed)
+                    + self.lookahead_batches * self.config.batch_size,
+                    self.config.trials,
+                )
+            if cs.helper_next < limit:
+                index = cs.helper_next
+                cs.helper_next += 1
+                self._submit(session, cs, index, 0, "helper")
+                return True
+        return False
 
     # -- persistence ------------------------------------------------------
 
@@ -757,21 +1297,16 @@ class CampaignEngine:
                 return
         self._write_checkpoint()
 
-    def _checkpoint_records(self) -> dict[str, list[dict]]:
-        """The record lists a checkpoint persists (committed state)."""
-        return {
-            cell.id: [r.to_dict() for r in outcome.records]
-            for cell, outcome in self.outcomes.items()
-        }
-
     def _write_checkpoint(self) -> None:
         if self.checkpoint_path is None:
             return
         payload = {
             "format": CAMPAIGN_FORMAT,
             "campaign": self.digest,
-            "rounds": self.rounds_run,
-            "cells": self._checkpoint_records(),
+            "cells": {
+                cell.id: [r.to_dict() for r in outcome.records]
+                for cell, outcome in self.outcomes.items()
+            },
         }
         path = self.checkpoint_path
         try:
@@ -851,7 +1386,6 @@ class CampaignEngine:
         for cell, records in staged.items():
             self.outcomes[cell].records = records
             loaded += len(records)
-        self.rounds_run = payload.get("rounds", 0)
         if self.verbose and loaded:
             print(
                 f"[campaign] resumed {loaded} trial records from {path}",
@@ -916,26 +1450,59 @@ class CampaignEngine:
         )
 
     def telemetry(self) -> dict[str, Any]:
-        """Scheduler/runner counters for benchmarks and the CLI.
+        """Engine and runner counters for benchmarks and the CLI.
 
         Deliberately *not* part of :class:`CampaignReport` — telemetry
         depends on timing and scheduling, while the report is
-        byte-identical across schedulers, worker counts and resumes.
+        byte-identical across worker counts, speculation depths and
+        resumes.  ``utilization`` approximates worker busy fraction from
+        summed trial latencies (submit-to-harvest, so pool queue wait
+        inflates it slightly); ``cancelled_savings`` counts trials
+        revoked before they ever executed; ``discarded_results`` counts
+        simulated-but-never-committed speculative results (they stay in
+        the result cache, so they are not pure waste on resume).
         """
-        committed = sum(len(o.records) for o in self.outcomes.values())
+        elapsed = self._run_elapsed
+        stats = self.runner.stats
         return {
-            "scheduler": self.SCHEDULER,
-            "trials_committed": committed,
-            "rounds": self.rounds_run,
+            "trials_committed": sum(
+                len(o.records) for o in self.outcomes.values()
+            ),
             "checkpoint_writes": self.checkpoint_writes,
             "breaker_trips": self.breaker_trips,
+            "workers": self.workers,
+            "max_inflight": self.max_inflight,
+            "utilization": (
+                min(1.0, self._busy / (self.workers * elapsed))
+                if elapsed > 0
+                else 0.0
+            ),
+            "steals": self.steals,
+            "speculative_submits": self.speculative_submits,
+            "speculative_duplicates": self.duplicate_submits,
+            "cancelled_savings": self.cancelled_savings,
+            "discarded_results": self.discarded_results,
+            "records_adopted": self.records_adopted,
+            "helper_trials": self.helper_submits,
+            "helper_completed": self.helper_completed,
+            "helper_warmed": self.helper_warmed,
+            "helper_warm_rate": (
+                self.helper_warmed / self.helper_submits
+                if self.helper_submits
+                else 0.0
+            ),
+            "lease_takeovers": self.lease_takeovers,
+            "backend_latency": {
+                mode: _latency_summary(vals)
+                for mode, vals in sorted(self._latency.items())
+            },
             "runner": {
-                "jobs": self.runner.stats.jobs,
-                "cache_hits": self.runner.stats.cache_hits,
-                "simulated": self.runner.stats.simulated,
-                "retries": self.runner.stats.retries,
-                "cancelled": self.runner.stats.cancelled,
-                "elapsed": self.runner.stats.elapsed,
+                "jobs": stats.jobs,
+                "cache_hits": stats.cache_hits,
+                "simulated": stats.simulated,
+                "retries": stats.retries,
+                "cancelled": stats.cancelled,
+                "elapsed": stats.elapsed,
             },
         }
 
@@ -946,41 +1513,35 @@ def _last_line(detail: str) -> str:
     return lines[-1].strip() if lines else "unknown error"
 
 
-#: The scheduling disciplines :func:`create_engine` knows how to build.
-SCHEDULERS = ("round", "stealing")
-
-
 def create_engine(
     config: CampaignConfig,
     runner: Optional[ParallelRunner] = None,
     *,
-    scheduler: str = "round",
+    scheduler: str = "stealing",
     **engine_kwargs: Any,
-):
-    """Build the campaign engine implementing *scheduler*.
+) -> CampaignEngine:
+    """Build a :class:`CampaignEngine`.
 
-    ``"round"`` is the synchronous round-barrier
-    :class:`CampaignEngine`; ``"stealing"`` is the continuous
-    work-stealing engine of :mod:`repro.harness.scheduler`
-    (identical reports, better worker utilization, mid-flight
-    cancellation, optional multi-host cooperation).
+    *scheduler* is kept for signature compatibility; ``"stealing"`` is
+    its only value.
     """
     if scheduler == "round":
-        return CampaignEngine(config, runner, **engine_kwargs)
-    if scheduler == "stealing":
-        from repro.harness.scheduler import StealingCampaignEngine
-
-        return StealingCampaignEngine(config, runner, **engine_kwargs)
-    raise ValueError(
-        f"unknown scheduler {scheduler!r}; choose one of {', '.join(SCHEDULERS)}"
-    )
+        raise ValueError(
+            "the round-barrier campaign engine was removed; "
+            "CampaignEngine (scheduler='stealing') renders the same reports"
+        )
+    if scheduler != "stealing":
+        raise ValueError(
+            f"unknown scheduler {scheduler!r}; the only scheduler is 'stealing'"
+        )
+    return CampaignEngine(config, runner, **engine_kwargs)
 
 
 def run_campaign(
     config: CampaignConfig,
     runner: Optional[ParallelRunner] = None,
     *,
-    scheduler: str = "round",
+    scheduler: str = "stealing",
     **engine_kwargs: Any,
 ) -> CampaignReport:
     """Convenience one-shot: build an engine, run it, return the report."""

@@ -509,7 +509,7 @@ class ParallelRunner:
             results[index] = result
             self._tick()
 
-    # -- incremental path (the work-stealing scheduler's substrate) -------
+    # -- incremental path (the campaign engine's substrate) --------------
 
     def session(self, *, workers: Optional[int] = None) -> "RunnerSession":
         """An incremental submit/cancel/as-completed execution session.
@@ -519,8 +519,9 @@ class ParallelRunner:
         pool alive and lets the caller feed it continuously: ``submit``
         returns immediately, ``next_completed`` harvests results one at
         a time in completion order, and ``cancel`` revokes work that has
-        not started.  The campaign scheduler
-        (:mod:`repro.harness.scheduler`) is built on this API.
+        not started.  The campaign engine
+        (:class:`~repro.harness.campaign.CampaignEngine`) is built on
+        this API.
         """
         return RunnerSession(self, workers=workers)
 
@@ -548,7 +549,7 @@ class TrialHandle:
     :class:`RunnerError` when the job failed its pool attempt *and* the
     in-parent retry (mirroring ``run(on_error="return")``); it is only
     meaningful once ``done`` is true.  ``tag`` is an opaque caller
-    payload carried through untouched (the scheduler stores its
+    payload carried through untouched (the campaign engine stores its
     (cell, index, attempt) bookkeeping there).
     """
 

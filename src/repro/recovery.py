@@ -29,6 +29,9 @@ Counters (all monotonic within a process):
 ``checkpoint_write_errors``
     Campaign checkpoint writes that failed and were skipped (the
     campaign continues, minus durability).
+``publish_write_errors``
+    Share-dir record publishes that failed and were retried on a later
+    cooperation tick (peers only lose a head start).
 ``breaker_trips``
     Campaign cells failed by the per-cell circuit breaker after
     repeated exhausted trials.

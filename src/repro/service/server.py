@@ -16,8 +16,8 @@ Threading model (three lanes, one owner each):
 * the **asyncio event loop** owns every job record, the progress-event
   log and all HTTP handling; nothing else mutates them;
 * one **execution thread** owns a single long-lived
-  :meth:`~repro.api.ParallelRunner.session` (the work-stealing
-  scheduler's substrate) and feeds it experiment jobs from a
+  :meth:`~repro.api.ParallelRunner.session` (the campaign engine's
+  substrate) and feeds it experiment jobs from a
   thread-safe queue, marshalling completions back to the loop with
   ``call_soon_threadsafe``;
 * **campaign threads** (a small pool) each run one campaign to
@@ -94,8 +94,7 @@ class ServiceConfig:
     queue_dir: Union[str, Path] = ".repro-service"
     store_shards: int = 16
     store_capacity_per_shard: int = 256
-    #: Campaign execution discipline and concurrent-campaign cap.
-    campaign_scheduler: str = "stealing"
+    #: Concurrent-campaign cap.
     max_campaigns: int = 2
     #: Campaign checkpoint cadence (records-dirty / seconds-elapsed).
     #: Deliberately tighter than the library defaults: a service exists
@@ -523,7 +522,6 @@ class SimulationService:
         engine = create_engine(
             config,
             runner,
-            scheduler=self.config.campaign_scheduler,
             checkpoint_path=self.queue.root / f"{job_id}.ckpt.json",
             checkpoint_every_trials=self.config.checkpoint_every_trials,
             checkpoint_interval=self.config.checkpoint_interval,

@@ -5,15 +5,15 @@ knob, a broken native build, a poisoned input) should be declared
 broken after ``breaker_threshold`` consecutive exhausted trials instead
 of grinding through — and retrying — its entire trial budget.  Because
 the breaker is a pure function of the committed records, consulted only
-at batch-aligned counts, the round and work-stealing schedulers must
-trip it at exactly the same record and emit byte-identical reports.
+at batch-aligned counts, it trips at exactly the same record under any
+worker count, and the report matches its pin byte for byte.
 """
 
 import pytest
 
 from repro import recovery
-from repro.harness.campaign import CampaignConfig, CampaignEngine, create_engine
-from repro.harness.runner import ParallelRunner
+from repro.harness.campaign import CampaignConfig, CampaignEngine
+from tests.test_golden_campaign import assert_matches_pin, config_for, runner_for
 
 
 def _crashing_config(**over):
@@ -64,19 +64,15 @@ class TestBreakerTrips:
         assert outcome.broken is None
         assert len(outcome.ok_records()) == 6
 
-    def test_round_and_stealing_reports_identical(self):
-        config = _crashing_config(
-            schemes=("BaseP", "ICR-P-PS(S)"),
-            trials=6,
+    def test_pool_report_matches_pin(self):
+        assert config_for("breaker") == _crashing_config(
+            schemes=("BaseP", "ICR-P-PS(S)"), trials=6
         )
-        round_report = create_engine(
-            config, ParallelRunner(jobs=1), scheduler="round"
+        report = CampaignEngine(
+            config_for("breaker"), runner_for("breaker", jobs=2)
         ).run()
-        stealing_report = create_engine(
-            config, ParallelRunner(jobs=2), scheduler="stealing"
-        ).run()
-        assert round_report.to_json() == stealing_report.to_json()
-        by_scheme = {o.cell.scheme: o for o in round_report.outcomes}
+        assert_matches_pin(report, "breaker")
+        by_scheme = {o.cell.scheme: o for o in report.outcomes}
         assert by_scheme["ICR-P-PS(S)"].broken is not None
         assert by_scheme["BaseP"].broken is None
 

@@ -59,7 +59,7 @@ def test_checkpoint_not_resumed_across_backends(tmp_path):
     engine = CampaignEngine(
         _campaign_config("object"), runner, checkpoint_path=checkpoint
     )
-    engine.run(max_rounds=1)
+    engine.run(max_trials=2)
     assert checkpoint.exists()
 
     resumed_same = CampaignEngine(
@@ -81,7 +81,7 @@ def test_resumed_array_campaign_matches_uninterrupted(tmp_path):
 
     checkpoint = tmp_path / "campaign.json"
     CampaignEngine(config, runner, checkpoint_path=checkpoint).run(
-        max_rounds=1
+        max_trials=2
     )
     resumed = CampaignEngine(config, runner, checkpoint_path=checkpoint)
     assert resumed.resumed

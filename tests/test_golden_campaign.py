@@ -103,15 +103,23 @@ def config_for(name: str, **over) -> CampaignConfig:
     return CampaignConfig(**dict(CONFIGS[name][0], **over))
 
 
+def runner_for(name: str, jobs: int = 1) -> ParallelRunner:
+    return ParallelRunner(jobs=jobs, **CONFIGS[name][1])
+
+
+def assert_matches_pin(report, name: str) -> None:
+    """*report* renders byte for byte as the pin of *name* (own digest)."""
+    want = {**pinned(name), "campaign": report.digest}
+    assert report.to_json() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_campaign_report_golden(name, update_golden):
-    runner_kwargs = dict(jobs=1, **CONFIGS[name][1])
-    report = CampaignEngine(config_for(name), ParallelRunner(**runner_kwargs)).run()
-    got = report_dict(report)
+    report = CampaignEngine(config_for(name), runner_for(name)).run()
     if update_golden:
         pins = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
         pins = {key: pin for key, pin in pins.items() if key in CONFIGS}
-        pins[name] = got
+        pins[name] = report_dict(report)
         GOLDEN_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
         pytest.skip(f"regenerated {name} in {GOLDEN_PATH}")
-    assert got == pinned(name)
+    assert_matches_pin(report, name)

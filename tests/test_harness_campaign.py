@@ -151,11 +151,12 @@ class TestCampaignRuns:
             assert len(outcome.ok_records()) == config.min_trials
         assert first.complete
 
-    def test_max_rounds_reports_incomplete(self):
+    def test_max_trials_reports_incomplete(self):
         config = small_config()
-        report = CampaignEngine(config).run(max_rounds=1)
+        engine = CampaignEngine(config)
+        report = engine.run(max_trials=config.batch_size)
         assert not report.complete
-        assert all(len(o.ok_records()) == config.batch_size for o in report.outcomes)
+        assert engine.telemetry()["trials_committed"] == config.batch_size
 
 
 class TestCheckpointResume:
@@ -165,7 +166,7 @@ class TestCheckpointResume:
 
         path = tmp_path / "campaign.json"
         interrupted = CampaignEngine(config, checkpoint_path=path)
-        interrupted.run(max_rounds=1)
+        interrupted.run(max_trials=config.batch_size)
 
         resumed = CampaignEngine(config, checkpoint_path=path)
         assert resumed.resumed
@@ -174,7 +175,7 @@ class TestCheckpointResume:
 
     def test_mismatched_checkpoint_is_ignored(self, tmp_path):
         path = tmp_path / "campaign.json"
-        CampaignEngine(small_config(), checkpoint_path=path).run(max_rounds=1)
+        CampaignEngine(small_config(), checkpoint_path=path).run(max_trials=3)
         other = CampaignEngine(
             small_config(trials=5), checkpoint_path=path
         )

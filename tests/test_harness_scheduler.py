@@ -1,15 +1,16 @@
-"""Tests for the work-stealing campaign scheduler.
+"""Tests for the work-stealing campaign engine.
 
 The contract under test is the one DESIGN.md §12 argues for:
 
-* the stealing scheduler's final report is **byte-identical** to the
-  round scheduler's — across worker counts, with failing trials, under
-  adaptive stopping, and through interrupt/resume in either direction;
+* the final report is **byte-identical** to the pins in
+  ``tests/golden/campaign_reports.json`` — across worker counts, with
+  failing trials, under adaptive stopping at every lookahead depth, and
+  through interrupt/resume;
 * once a cell converges it schedules zero further trials (queued work
   is revoked mid-flight, staged speculative results are discarded);
 * two engines cooperating through a share directory partition the cell
   grid via file leases, adopt each other's published records, take over
-  stale leases, and still render the identical report;
+  stale leases, and still render the pinned report;
 * the checkpoint cadence batches writes instead of serializing the
   record set after every trial.
 """
@@ -19,91 +20,57 @@ import time
 
 import pytest
 
+from repro import recovery
+from repro.chaos import runtime
+from repro.chaos.plan import FaultPlan
 from repro.harness.cache import FileLease, ResultCache
-from repro.harness.campaign import (
-    CampaignConfig,
-    CampaignEngine,
-    create_engine,
-)
+from repro.harness.campaign import CampaignConfig, CampaignEngine, create_engine
 from repro.harness.runner import Job, ParallelRunner, RunnerError
-from repro.harness.scheduler import StealingCampaignEngine
 from repro.harness.spec import ExperimentSpec
-
-SMALL = dict(
-    benchmarks=("gzip",),
-    schemes=("BaseP", "ICR-P-PS(S)"),
-    error_rates=(1e-2,),
-    trials=6,
-    batch_size=3,
-    n_instructions=3_000,
+from tests.test_golden_campaign import (
+    assert_matches_pin,
+    config_for,
+    pinned,
+    runner_for,
 )
-
-#: Adaptive-stopping variant: a huge target makes every cell converge at
-#: min_trials, so speculative lookahead work must get cancelled.
-ADAPTIVE = dict(
-    SMALL,
-    trials=30,
-    batch_size=3,
-    min_trials=3,
-    target_half_width=0.9,
-)
-
-
-def small_config(**over):
-    merged = dict(SMALL)
-    merged.update(over)
-    return CampaignConfig(**merged)
-
-
-def round_report(config, **runner_kwargs):
-    return CampaignEngine(config, ParallelRunner(**runner_kwargs)).run()
 
 
 class TestByteIdenticalReports:
-    def test_serial_matches_round(self):
-        config = small_config()
-        ref = round_report(config, jobs=1)
-        out = create_engine(
-            config, ParallelRunner(jobs=1), scheduler="stealing"
-        ).run()
-        assert ref.to_json() == out.to_json()
+    def test_serial_matches_pin(self):
+        out = CampaignEngine(config_for("small"), runner_for("small")).run()
+        assert_matches_pin(out, "small")
 
-    def test_pool_workers_match_round(self):
-        config = small_config(trials=4, batch_size=2)
-        ref = round_report(config, jobs=1)
+    def test_pool_workers_match_pin(self):
+        name = "small-trials4-batch2"
         for workers in (2, 3):
-            out = create_engine(
-                config,
-                ParallelRunner(jobs=workers),
-                scheduler="stealing",
+            out = CampaignEngine(
+                config_for(name),
+                runner_for(name, jobs=workers),
                 workers=workers,
             ).run()
-            assert ref.to_json() == out.to_json(), f"workers={workers}"
+            assert_matches_pin(out, name)
 
-    def test_adaptive_stopping_matches_round(self):
-        config = small_config(**{k: ADAPTIVE[k] for k in ADAPTIVE})
-        ref = round_report(config, jobs=1)
-        engine = create_engine(
-            config, ParallelRunner(jobs=1), scheduler="stealing"
-        )
-        out = engine.run()
-        assert ref.to_json() == out.to_json()
+    def test_adaptive_stopping_matches_pin(self):
+        out = CampaignEngine(config_for("adaptive"), runner_for("adaptive")).run()
+        assert_matches_pin(out, "adaptive")
         assert all(o.stopped_early for o in out.outcomes)
 
-    def test_failing_trials_match_round(self):
+    def test_adaptive_pool_matches_pin(self):
+        # Convergence cancels queued lookahead work on a real pool, where
+        # revoked trials may already be running in a worker.
+        engine = CampaignEngine(
+            config_for("adaptive"), runner_for("adaptive", jobs=2), workers=2
+        )
+        assert_matches_pin(engine.run(), "adaptive")
+        assert engine.telemetry()["speculative_submits"] > 0
+
+    def test_failing_trials_match_pin(self):
         # ICR schemes accept the knobs, so the bogus knob crashes every
         # ICR trial attempt in the worker while BaseP sails through —
         # the registry metadata strips it for Base schemes.
-        config = small_config(
-            trials=3, batch_size=3, scheme_kwargs={"nosuch_knob": 1}
-        )
-        ref = round_report(config, jobs=1, retries=0)
-        out = create_engine(
-            config,
-            ParallelRunner(jobs=1, retries=0),
-            scheduler="stealing",
-        ).run()
-        assert ref.to_json() == out.to_json()
+        name = "failing-no-retries"
+        out = CampaignEngine(config_for(name), runner_for(name)).run()
+        assert_matches_pin(out, name)
         failed = {
             o.cell.scheme: o.failed_attempts() for o in out.outcomes
         }
@@ -111,96 +78,49 @@ class TestByteIdenticalReports:
         assert failed["ICR-P-PS(S)"] > 0
 
     def test_lookahead_depths_identical(self):
-        config = small_config(**{k: ADAPTIVE[k] for k in ADAPTIVE})
-        ref = round_report(config, jobs=1)
+        # Lookahead 0 submits nothing past the batch the stopping rule
+        # has approved, so a cell's batches run one after another.
         for lookahead in (0, 1, 4):
-            out = create_engine(
-                config,
-                ParallelRunner(jobs=1),
-                scheduler="stealing",
+            out = CampaignEngine(
+                config_for("adaptive"),
+                runner_for("adaptive"),
                 lookahead_batches=lookahead,
             ).run()
-            assert ref.to_json() == out.to_json(), f"lookahead={lookahead}"
+            assert_matches_pin(out, "adaptive")
 
 
 class TestInterruptResume:
-    def test_stealing_resumes_stealing(self, tmp_path):
-        config = small_config()
-        ref = round_report(config, jobs=1)
+    def test_interrupted_run_resumes(self, tmp_path):
+        config = config_for("small")
         ck = tmp_path / "ck.json"
-        first = create_engine(
-            config,
-            ParallelRunner(jobs=1),
-            scheduler="stealing",
-            checkpoint_path=ck,
+        first = CampaignEngine(
+            config, ParallelRunner(jobs=1), checkpoint_path=ck
         )
         partial = first.run(max_trials=5)
         assert not partial.complete
-        second = create_engine(
-            config,
-            ParallelRunner(jobs=1),
-            scheduler="stealing",
-            checkpoint_path=ck,
+        second = CampaignEngine(
+            config, ParallelRunner(jobs=1), checkpoint_path=ck
         )
         assert second.resumed
-        assert ref.to_json() == second.run().to_json()
-
-    def test_cross_scheduler_resume(self, tmp_path):
-        # A stealing checkpoint can land mid-batch; the round engine
-        # must refill to the same batch grid, and vice versa.
-        config = small_config()
-        ref = round_report(config, jobs=1)
-        ck = tmp_path / "ck.json"
-        create_engine(
-            config,
-            ParallelRunner(jobs=1),
-            scheduler="stealing",
-            checkpoint_path=ck,
-        ).run(max_trials=5)
-        finished_by_round = CampaignEngine(
-            config, ParallelRunner(jobs=1), checkpoint_path=ck
-        ).run()
-        assert ref.to_json() == finished_by_round.to_json()
-
-        ck2 = tmp_path / "ck2.json"
-        CampaignEngine(
-            config, ParallelRunner(jobs=1), checkpoint_path=ck2
-        ).run(max_rounds=1)
-        finished_by_stealing = create_engine(
-            config,
-            ParallelRunner(jobs=1),
-            scheduler="stealing",
-            checkpoint_path=ck2,
-        ).run()
-        assert ref.to_json() == finished_by_stealing.to_json()
+        assert_matches_pin(second.run(), "small")
 
     def test_adaptive_resume_identical(self, tmp_path):
-        config = small_config(**{k: ADAPTIVE[k] for k in ADAPTIVE})
-        ref = round_report(config, jobs=1)
+        config = config_for("adaptive")
         ck = tmp_path / "ck.json"
-        create_engine(
-            config,
-            ParallelRunner(jobs=1),
-            scheduler="stealing",
-            checkpoint_path=ck,
+        CampaignEngine(
+            config, ParallelRunner(jobs=1), checkpoint_path=ck
         ).run(max_trials=2)
-        out = create_engine(
-            config,
-            ParallelRunner(jobs=1),
-            scheduler="stealing",
-            checkpoint_path=ck,
+        out = CampaignEngine(
+            config, ParallelRunner(jobs=1), checkpoint_path=ck
         ).run()
-        assert ref.to_json() == out.to_json()
+        assert_matches_pin(out, "adaptive")
 
 
 class TestConvergenceCancellation:
     def test_converged_cell_schedules_nothing_further(self):
-        config = small_config(**{k: ADAPTIVE[k] for k in ADAPTIVE})
-        engine = create_engine(
-            config, ParallelRunner(jobs=1), scheduler="stealing"
-        )
+        engine = CampaignEngine(config_for("adaptive"), ParallelRunner(jobs=1))
         engine.run()
-        # Replay the scheduler's event trace: once a cell's "cell-done"
+        # Replay the engine's event trace: once a cell's "cell-done"
         # event fires, no submit event for it may follow.
         done = set()
         for event in engine.events:
@@ -212,10 +132,7 @@ class TestConvergenceCancellation:
                 )
 
     def test_speculative_work_is_cancelled_and_discarded(self):
-        config = small_config(**{k: ADAPTIVE[k] for k in ADAPTIVE})
-        engine = create_engine(
-            config, ParallelRunner(jobs=1), scheduler="stealing"
-        )
+        engine = CampaignEngine(config_for("adaptive"), ParallelRunner(jobs=1))
         engine.run()
         t = engine.telemetry()
         # Every cell stops at min_trials=3 out of 30, so lookahead work
@@ -228,27 +145,22 @@ class TestConvergenceCancellation:
 
     def test_uncommitted_speculation_invisible_to_report(self):
         # The stopping decision must be a function of committed records
-        # only: the stealing run commits exactly the round run's set.
-        config = small_config(**{k: ADAPTIVE[k] for k in ADAPTIVE})
-        ref = CampaignEngine(config, ParallelRunner(jobs=1))
-        ref.run()
-        out = create_engine(
-            config, ParallelRunner(jobs=1), scheduler="stealing"
-        )
+        # only: the run commits exactly the pinned trial set.
+        out = CampaignEngine(config_for("adaptive"), ParallelRunner(jobs=1))
         out.run()
-        for cell in config.cells():
-            ref_keys = [
-                (r.index, r.attempt) for r in ref.outcomes[cell].records
-            ]
+        pinned_cells = pinned("adaptive")["cells"]
+        for cell, pin in zip(out.config.cells(), pinned_cells):
+            assert pin["scheme"] == cell.scheme
+            pin_keys = [(r["index"], r["attempt"]) for r in pin["records"]]
             out_keys = [
                 (r.index, r.attempt) for r in out.outcomes[cell].records
             ]
-            assert sorted(ref_keys) == sorted(out_keys)
+            assert sorted(pin_keys) == sorted(out_keys)
 
 
 class TestCheckpointCadence:
     def test_writes_batched_behind_dirty_threshold(self, tmp_path):
-        config = small_config()
+        config = config_for("small")
         engine = CampaignEngine(
             config,
             ParallelRunner(jobs=1),
@@ -261,11 +173,10 @@ class TestCheckpointCadence:
         assert engine.checkpoint_writes == 1
 
     def test_every_trial_cadence_upper_bound(self, tmp_path):
-        config = small_config()
-        engine = create_engine(
+        config = config_for("small")
+        engine = CampaignEngine(
             config,
             ParallelRunner(jobs=1),
-            scheduler="stealing",
             checkpoint_path=tmp_path / "ck.json",
             checkpoint_every_trials=1,
             checkpoint_interval=0.0,
@@ -275,12 +186,11 @@ class TestCheckpointCadence:
         assert 1 <= engine.checkpoint_writes <= total + 1
 
     def test_forced_flush_makes_resume_exact(self, tmp_path):
-        config = small_config()
+        config = config_for("small")
         ck = tmp_path / "ck.json"
-        engine = create_engine(
+        engine = CampaignEngine(
             config,
             ParallelRunner(jobs=1),
-            scheduler="stealing",
             checkpoint_path=ck,
             checkpoint_every_trials=1_000_000,
             checkpoint_interval=3_600.0,
@@ -294,22 +204,20 @@ class TestCheckpointCadence:
 
 class TestMultiHostCooperation:
     def test_two_engines_share_and_agree(self, tmp_path):
-        config = small_config(trials=4, batch_size=2)
-        ref = round_report(config, jobs=1)
+        config = config_for("small-trials4-batch2")
         cache = ResultCache(tmp_path / "cache")
         share = tmp_path / "share"
         kwargs = dict(
-            scheduler="stealing",
             share_dir=share,
             coop_interval=0.01,
             lease_ttl=10.0,
         )
-        a = create_engine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
-        b = create_engine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
+        a = CampaignEngine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
+        b = CampaignEngine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
         report_a = a.run()
         report_b = b.run()
-        assert ref.to_json() == report_a.to_json()
-        assert ref.to_json() == report_b.to_json()
+        assert_matches_pin(report_a, "small-trials4-batch2")
+        assert_matches_pin(report_b, "small-trials4-batch2")
         # The second engine found everything published and adopted it.
         assert b.telemetry()["records_adopted"] == sum(
             len(o.records) for o in b.outcomes.values()
@@ -319,33 +227,30 @@ class TestMultiHostCooperation:
         # Drive two engines in alternating slices against one share dir;
         # leases must keep them off each other's cells while both are
         # mid-flight, and the union must converge to the full report.
-        config = small_config(trials=4, batch_size=2)
-        ref = round_report(config, jobs=1)
+        config = config_for("small-trials4-batch2")
         cache = ResultCache(tmp_path / "cache")
         kwargs = dict(
-            scheduler="stealing",
             share_dir=tmp_path / "share",
             coop_interval=0.0,
             lease_ttl=30.0,
         )
-        a = create_engine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
-        b = create_engine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
+        a = CampaignEngine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
+        b = CampaignEngine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
         for _ in range(40):
             a.run(max_trials=1)
             b.run(max_trials=1)
             if a.report().complete and b.report().complete:
                 break
-        assert ref.to_json() == a.report().to_json()
-        assert ref.to_json() == b.report().to_json()
+        assert_matches_pin(a.report(), "small-trials4-batch2")
+        assert_matches_pin(b.report(), "small-trials4-batch2")
 
     def test_stale_lease_takeover(self, tmp_path):
-        config = small_config(trials=2, batch_size=2, schemes=("BaseP",))
+        config = config_for("small", trials=2, batch_size=2, schemes=("BaseP",))
         share = tmp_path / "share"
         # A dead peer holds every cell: fabricate unrenewed lease files.
-        dead = create_engine(
+        dead = CampaignEngine(
             config,
             ParallelRunner(jobs=1),
-            scheduler="stealing",
             share_dir=share,
             lease_ttl=0.05,
         )
@@ -359,10 +264,9 @@ class TestMultiHostCooperation:
             )
             assert lease.acquire()
         time.sleep(0.1)  # let the ghost's leases go stale
-        engine = create_engine(
+        engine = CampaignEngine(
             config,
             ParallelRunner(jobs=1),
-            scheduler="stealing",
             share_dir=share,
             lease_ttl=0.05,
             coop_interval=0.0,
@@ -370,6 +274,26 @@ class TestMultiHostCooperation:
         report = engine.run()
         assert report.complete
         assert engine.lease_takeovers == len(config.cells())
+
+    def test_publish_survives_full_disk(self, tmp_path):
+        # The first publish of every cell file hits ENOSPC: it is
+        # counted, leaves no temp file behind, and a later publish of
+        # the same records lands.
+        name = "small-trials4-batch2"
+        share = tmp_path / "share"
+        before = recovery.counter("publish_write_errors")
+        runtime.install(FaultPlan(seed=0, disk_full_rate=1.0), tmp_path / "chaos")
+        try:
+            report = CampaignEngine(
+                config_for(name), runner_for(name), share_dir=share
+            ).run()
+        finally:
+            runtime.uninstall()
+        assert_matches_pin(report, name)
+        assert recovery.counter("publish_write_errors") >= before + 1
+        published = sorted(p.name for p in (share / "cells").iterdir())
+        assert len(published) == len(report.outcomes)
+        assert all(name.endswith(".json") for name in published)
 
 
 class TestFileLease:
@@ -495,12 +419,12 @@ class TestBackendAutoDispatch:
         # Error-injection cells run on the per-access SoA kernel; a
         # scrubbing campaign walks CacheBlocks, so there "auto" must fall
         # back per cell rather than refusing the campaign.
-        config = small_config(backend="auto")
+        config = config_for("small", backend="auto")
         for cell in config.cells():
             assert config.trial_mode(cell) == "array-soa"
             assert config.trial_backend(cell) == "array"
             assert config.trial_spec(cell, 0, 0).backend == "array"
-        scrubbed = small_config(backend="auto", scrub_period=500)
+        scrubbed = config_for("small", backend="auto", scrub_period=500)
         for cell in scrubbed.cells():
             assert scrubbed.trial_backend(cell) == "object"
             assert scrubbed.trial_spec(cell, 0, 0).backend == "object"
@@ -522,40 +446,33 @@ class TestBackendAutoDispatch:
         # Under "auto" error-injection campaigns run every cell on the
         # per-access SoA kernel; the trial population must match the
         # object backend's exactly — only the digest itself differs.
-        base = small_config(trials=2, batch_size=2)
-        auto = small_config(trials=2, batch_size=2, backend="auto")
-        ref = round_report(base, jobs=1)
-        out = create_engine(
-            auto, ParallelRunner(jobs=1), scheduler="stealing"
-        ).run()
-        ref_cells = ref.to_dict()["cells"]
-        out_cells = out.to_dict()["cells"]
-        assert ref_cells == out_cells
+        auto = config_for("small-trials2-batch2", backend="auto")
+        out = CampaignEngine(auto, ParallelRunner(jobs=1)).run()
+        assert out.to_dict()["cells"] == pinned("small-trials2-batch2")["cells"]
 
 
 class TestEngineFactory:
     def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="round"):
-            create_engine(small_config(), scheduler="fifo")
+        with pytest.raises(ValueError, match="stealing"):
+            create_engine(config_for("small"), scheduler="fifo")
 
-    def test_factory_builds_expected_types(self):
-        assert isinstance(
-            create_engine(small_config(), scheduler="round"), CampaignEngine
-        )
-        engine = create_engine(small_config(), scheduler="stealing")
-        assert isinstance(engine, StealingCampaignEngine)
-        assert engine.SCHEDULER == "stealing"
+    def test_round_scheduler_removed(self):
+        with pytest.raises(ValueError, match="removed"):
+            create_engine(config_for("small"), scheduler="round")
+
+    def test_factory_builds_engine(self):
+        assert isinstance(create_engine(config_for("small")), CampaignEngine)
+        engine = create_engine(config_for("small"), scheduler="stealing")
+        assert isinstance(engine, CampaignEngine)
 
     def test_telemetry_shape(self):
-        engine = create_engine(
-            small_config(trials=2, batch_size=2),
+        engine = CampaignEngine(
+            config_for("small-trials2-batch2"),
             ParallelRunner(jobs=1),
-            scheduler="stealing",
         )
         engine.run()
         t = engine.telemetry()
         for key in (
-            "scheduler",
             "trials_committed",
             "checkpoint_writes",
             "utilization",
@@ -570,7 +487,6 @@ class TestEngineFactory:
             "runner",
         ):
             assert key in t, key
-        assert t["scheduler"] == "stealing"
         assert 0.0 <= t["utilization"] <= 1.0
         for summary in t["backend_latency"].values():
             assert summary["count"] == sum(
