@@ -64,10 +64,10 @@ error-rate) cell over many fault-injection seeds and reports the mean
 with a 95% percentile-bootstrap confidence interval — use it before
 reading significance into a small gap between two schemes.  The
 non-blocking `campaign-smoke` CI job publishes a small such campaign
-(`benchmarks/results/BENCH_campaign.*`) on every push, run under both
-campaign schedulers (`--scheduler round|stealing`) with byte-identical
-reports; the JSON artifact also records per-scheduler trials/sec,
-cancelled-trial savings, and the adaptive-stopping wall-clock speedup.
+(`benchmarks/results/BENCH_campaign.*`) on every push, run on both
+kernel backends (`object` and `auto`) with byte-identical reports; the
+JSON artifact also records per-backend trials/sec and the engine
+telemetry (worker utilization, cancelled-trial savings).
 
 Generated: {timestamp} — total generation time {elapsed:.0f}s.
 
