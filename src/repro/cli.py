@@ -12,7 +12,7 @@ Installed as the ``repro-icr`` console script::
 ``campaign`` runs a Monte Carlo fault-injection campaign: N seeded
 trials per (benchmark, scheme, error-rate) cell, reported as means with
 bootstrap confidence intervals (see :mod:`repro.harness.campaign`).  It
-checkpoints after every round and resumes automatically when re-run
+checkpoints as trials commit and resumes automatically when re-run
 with the same configuration.
 
 ``run``, ``compare`` and ``figure`` all execute through the parallel

@@ -175,7 +175,7 @@ def result_from_dict(data: dict) -> SimulationResult:
 class FileLease:
     """An advisory, TTL-bounded claim on a shared resource.
 
-    The multi-host campaign scheduler uses one lease file per campaign
+    The multi-host campaign engine uses one lease file per campaign
     cell: an engine that wants to run a cell's trials must hold its
     lease, so two engines pointed at the same checkpoint/cache
     directory partition the grid between themselves instead of

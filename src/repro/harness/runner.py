@@ -329,9 +329,9 @@ class ParallelRunner:
         *on_error* controls what happens when a job fails its attempt
         *and* its retries: ``"raise"`` (default) propagates the
         :class:`RunnerError`; ``"return"`` places the error object in
-        the result list at the job's position and keeps going — the
-        campaign engine uses this so one pathological trial degrades a
-        cell instead of aborting the whole campaign.
+        the result list at the job's position and keeps going, so one
+        pathological job degrades its slot instead of aborting the
+        batch.
         """
         if on_error not in ("raise", "return"):
             raise ValueError(f"on_error must be 'raise' or 'return', got {on_error!r}")

@@ -144,7 +144,7 @@ class ExperimentSpec:
     def with_backend(self, backend: str) -> "ExperimentSpec":
         """The same experiment on a different simulation kernel.
 
-        Used by backend-aware dispatch: the scheduler probes
+        Used by backend-aware dispatch: the campaign probes
         :func:`repro.core.array_kernel.backend_mode` on the array twin
         of a spec to decide which kernel a cell's trials should run on.
         Note the backend participates in :meth:`key`, so the twin is a
