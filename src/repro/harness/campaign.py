@@ -1159,8 +1159,10 @@ class CampaignEngine:
         }
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
-            _chaos.check_disk_full("publish", str(path))
             tmp.write_text(json.dumps(payload, sort_keys=True))
+            # Injected after the temp file exists, where a real ENOSPC
+            # mid-write leaves it.
+            _chaos.check_disk_full("publish", str(path))
             os.replace(tmp, path)
         except OSError:
             # Peers only lose a head start: the next cooperation tick or

@@ -276,24 +276,26 @@ class TestMultiHostCooperation:
         assert engine.lease_takeovers == len(config.cells())
 
     def test_publish_survives_full_disk(self, tmp_path):
-        # The first publish of every cell file hits ENOSPC: it is
-        # counted, leaves no temp file behind, and a later publish of
-        # the same records lands.
+        # The first publish of every cell file hits ENOSPC once its temp
+        # file exists: the failure is counted, the temp file removed, and
+        # a later publish of the same cell lands.
         name = "small-trials4-batch2"
-        share = tmp_path / "share"
+        cells = tmp_path / "share" / "cells"
         before = recovery.counter("publish_write_errors")
         runtime.install(FaultPlan(seed=0, disk_full_rate=1.0), tmp_path / "chaos")
         try:
-            report = CampaignEngine(
-                config_for(name), runner_for(name), share_dir=share
-            ).run()
+            engine = CampaignEngine(
+                config_for(name), runner_for(name), share_dir=tmp_path / "share"
+            )
+            assert not engine.run(max_trials=1).complete
+            assert recovery.counter("publish_write_errors") > before
+            assert list(cells.iterdir()) == []
+            report = engine.run()
         finally:
             runtime.uninstall()
         assert_matches_pin(report, name)
-        assert recovery.counter("publish_write_errors") >= before + 1
-        published = sorted(p.name for p in (share / "cells").iterdir())
-        assert len(published) == len(report.outcomes)
-        assert all(name.endswith(".json") for name in published)
+        published = sorted(p.suffix for p in cells.iterdir())
+        assert published == [".json"] * len(report.outcomes)
 
 
 class TestFileLease:
