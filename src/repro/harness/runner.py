@@ -1,12 +1,23 @@
 """Parallel experiment execution with caching, timeouts and retries.
 
 :class:`ParallelRunner` is the one execution engine behind the sweep
-utilities, the figure functions and the CLI.  It fans independent
-``(benchmark, scheme, kwargs)`` jobs out over a ``multiprocessing``
-worker pool, consults the content-addressed result cache
-(:mod:`repro.harness.cache`) before simulating anything, and guards
-every job with a wall-clock timeout plus one retry — a crashed or hung
-worker costs one job attempt, not the whole sweep.
+utilities, the figure functions, the campaign engine, the service and
+the CLI.  It consults the content-addressed result cache
+(:mod:`repro.harness.cache`) before simulating anything and fans
+independent ``(benchmark, scheme, kwargs)`` jobs out over a
+``multiprocessing`` worker pool.
+
+There is one dispatch path, :class:`RunnerSession`: the batch call
+:meth:`ParallelRunner.run` is a loop over a session, and the campaign
+engine and the service drive sessions directly.  Only
+:meth:`ParallelRunner.run_one` (one job, in-process) bypasses it.
+
+There is one retry policy.  Every job gets one attempt, in a pool
+worker or in-process, bounded by the runner's wall-clock timeout; a
+failed attempt gets one retry in the calling process, so a poisoned
+pool cannot take the retry down with it.  A job that fails both
+becomes a :class:`RunnerError`.  A pool that cannot start at all
+(``fork`` refused) degrades its session to in-process execution.
 
 Because every experiment is deterministic (seeded traces, seeded fault
 injection), a parallel run returns results *bit-identical* to the serial
@@ -82,7 +93,7 @@ class JobTimeoutError(RuntimeError):
 
 
 class RunnerError(RuntimeError):
-    """A job failed on both its first attempt and its retry."""
+    """A job failed on both its attempt and its retry."""
 
     def __init__(self, job: Job, detail: str):
         super().__init__(f"job {job.label} failed twice: {detail}")
@@ -250,7 +261,7 @@ def _worker(payload: tuple[Job, Optional[float]]) -> tuple[str, object]:
 
 
 class ParallelRunner:
-    """Cache-aware batch executor for experiment jobs.
+    """Cache-aware executor for experiment jobs.
 
     Parameters
     ----------
@@ -262,14 +273,13 @@ class ParallelRunner:
         An in-memory memo is always kept, so repeated identical jobs
         within one runner never re-simulate even without a disk cache.
     timeout:
-        Per-job wall-clock budget in seconds (``None`` = unbounded).
-    retries:
-        Extra attempts after a crash or timeout (default 1).  Retries
-        run *in the parent process*, so a poisoned worker pool cannot
-        take the retry down with it.
+        Per-attempt wall-clock budget in seconds (``None`` = unbounded).
     progress:
         When true, a compact progress line is written to *stream*
-        (default ``sys.stderr``) as jobs complete.
+        (default ``sys.stderr``) as batch jobs complete.
+
+    Every job runs under the module's one retry policy: one attempt,
+    then one retry in the calling process.
     """
 
     def __init__(
@@ -278,14 +288,12 @@ class ParallelRunner:
         *,
         cache: Optional[ResultCache] = None,
         timeout: Optional[float] = None,
-        retries: int = 1,
         progress: bool = False,
         stream=None,
     ):
         self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
         self.cache = cache
         self.timeout = timeout
-        self.retries = max(0, retries)
         self.progress = progress
         self.stream = stream if stream is not None else sys.stderr
         self.stats = RunnerStats()
@@ -313,7 +321,7 @@ class ParallelRunner:
                 self.stats.uncacheable += 1
             result = self._lookup(key)
             if result is None:
-                result = self._execute_with_retry(job, key)
+                result = self._execute(job, key)
         finally:
             self.stats.elapsed += time.monotonic() - started
         self.stats.completed += 1
@@ -321,76 +329,48 @@ class ParallelRunner:
 
     # -- batch path -------------------------------------------------------
 
-    def run(
-        self, jobs: Sequence[Job], *, on_error: str = "raise"
-    ) -> list[SimulationResult]:
-        """Run a batch of jobs, returning results in input order.
+    def run(self, jobs: Sequence[Job]) -> list[SimulationResult]:
+        """Run a batch of jobs through one :meth:`session`, in input order.
 
-        *on_error* controls what happens when a job fails its attempt
-        *and* its retries: ``"raise"`` (default) propagates the
-        :class:`RunnerError`; ``"return"`` places the error object in
-        the result list at the job's position and keeps going, so one
-        pathological job degrades its slot instead of aborting the
-        batch.
+        Identical jobs in the batch are simulated once; the copies are
+        filled afterwards and count as cache hits.  The session gets
+        ``min(jobs, distinct jobs)`` workers, so a lone job runs
+        in-process.  Every job runs to completion; then the first job
+        (in input order) that failed its attempt and its retry raises
+        its :class:`RunnerError`.
         """
-        if on_error not in ("raise", "return"):
-            raise ValueError(f"on_error must be 'raise' or 'return', got {on_error!r}")
         jobs = list(jobs)
-        self.stats.jobs += len(jobs)
-        started = time.monotonic()
-        results: list[Optional[SimulationResult]] = [None] * len(jobs)
-        pending: list[tuple[int, Job, Optional[str]]] = []
-        scheduled: set[str] = set()
-        duplicates: list[tuple[int, str]] = []
-        failed: dict[str, RunnerError] = {}
+        results: list = [None] * len(jobs)
+        runs: dict[str, int] = {}  # key -> index of the job that runs it
+        unique: list[int] = []
+        duplicates: list[tuple[int, int]] = []
+        for index, job in enumerate(jobs):
+            key = job.key()
+            if key in runs:
+                duplicates.append((index, runs[key]))
+                continue
+            if key is not None:
+                runs[key] = index
+            unique.append(index)
+        self.stats.jobs += len(duplicates)
         try:
-            for index, job in enumerate(jobs):
-                key = job.key()
-                cached = self._lookup(key)
-                if cached is not None:
-                    results[index] = cached
-                    self.stats.completed += 1
+            with self.session(workers=min(self.jobs, len(unique))) as session:
+                for index in unique:
+                    session.submit(jobs[index], tag=index)
+                while (handle := session.next_completed()) is not None:
+                    results[handle.tag] = handle.result
                     self._tick()
-                elif key is not None and key in scheduled:
-                    # Identical job already in this batch: simulate once,
-                    # fill the duplicate from the memo afterwards.
-                    duplicates.append((index, key))
-                else:
-                    if key is None:
-                        self.stats.uncacheable += 1
-                    else:
-                        scheduled.add(key)
-                    pending.append((index, job, key))
-
-            if pending:
-                if self.jobs <= 1 or len(pending) == 1:
-                    for index, job, key in pending:
-                        try:
-                            results[index] = self._execute_with_retry(job, key)
-                        except RunnerError as error:
-                            if on_error == "raise":
-                                raise
-                            results[index] = error
-                            if key is not None:
-                                failed[key] = error
-                        self.stats.completed += 1
-                        self._tick()
-                else:
-                    self._run_pool(pending, results, on_error, failed)
-            for index, key in duplicates:
-                hit = self._memo.get(key)
-                if hit is not None:
-                    results[index] = hit
-                    self.stats.cache_hits += 1
-                else:
-                    # The job this duplicated failed (on_error="return").
-                    results[index] = failed[key]
+            for result in results:
+                if isinstance(result, RunnerError):
+                    raise result
+            for index, source in duplicates:
+                results[index] = results[source]
+                self.stats.cache_hits += 1
                 self.stats.completed += 1
                 self._tick()
         finally:
-            self.stats.elapsed += time.monotonic() - started
             self._finish_progress()
-        return results  # type: ignore[return-value]
+        return results
 
     def run_grid(
         self,
@@ -425,103 +405,46 @@ class ParallelRunner:
             if self.cache is not None:
                 self.cache.put(key, result)
 
-    def _execute_with_retry(self, job: Job, key: Optional[str]) -> SimulationResult:
-        """In-process execution with the same retry budget as the pool."""
-        attempts = 1 + self.retries
-        last_error = "unknown"
-        for attempt in range(attempts):
-            if attempt:
-                self.stats.retries += 1
-            try:
-                result = _run_with_timeout(
-                    job, self.timeout, attempt == attempts - 1
-                )
-            except Exception:
-                last_error = traceback.format_exc()
-                continue
-            self.stats.simulated += 1
-            self._store(key, result)
-            return result
-        self.stats.failures += 1
-        raise RunnerError(job, last_error)
+    def _execute(
+        self, job: Job, key: Optional[str], failed: Optional[str] = None
+    ) -> SimulationResult:
+        """Run *job* in this process under the one retry policy.
 
-    def _run_pool(
-        self,
-        pending: list[tuple[int, Job, Optional[str]]],
-        results: list[Optional[SimulationResult]],
-        on_error: str = "raise",
-        failed: Optional[dict[str, "RunnerError"]] = None,
-    ) -> None:
-        workers = min(self.jobs, len(pending))
-        needs_retry: list[tuple[int, Job, Optional[str], str]] = []
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_worker, (job, self.timeout)): (index, job, key)
-                    for index, job, key in pending
-                }
-                outstanding = set(futures)
-                while outstanding:
-                    done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index, job, key = futures[future]
-                        try:
-                            status, payload = future.result()
-                        except Exception as exc:  # worker died, pool broken, ...
-                            status, payload = "error", repr(exc)
-                        if status == "ok":
-                            self.stats.simulated += 1
-                            self.stats.completed += 1
-                            self._store(key, payload)
-                            results[index] = payload
-                            self._tick()
-                        else:
-                            needs_retry.append((index, job, key, str(payload)))
-        except Exception as exc:
-            # The pool itself failed (fork bomb limits, broken executor
-            # mid-shutdown, ...): salvage every unfinished job in-process.
-            needs_retry.extend(
-                (index, job, key, repr(exc))
-                for index, job, key in pending
-                if results[index] is None
-                and not any(index == i for i, *_ in needs_retry)
-            )
-        for index, job, key, error in needs_retry:
+        One attempt, then one retry; only the retry is the chaos hook's
+        ``last_attempt``.  *failed* is the error of an attempt a pool
+        worker already made, in which case only the retry runs here.
+        Raises :class:`RunnerError` when the retry fails too.
+        """
+        if failed is None:
+            try:
+                result = _run_with_timeout(job, self.timeout)
+            except Exception:
+                failed = traceback.format_exc()
+        if failed is not None:
             self.stats.retries += 1
             try:
-                result = _run_with_timeout(job, self.timeout, True)
+                result = _run_with_timeout(job, self.timeout, last_attempt=True)
             except Exception:
                 self.stats.failures += 1
-                runner_error = RunnerError(
-                    job, f"pool attempt: {error}\nretry: {traceback.format_exc()}"
-                )
-                if on_error == "raise":
-                    raise runner_error from None
-                results[index] = runner_error
-                if failed is not None and key is not None:
-                    failed[key] = runner_error
-                self.stats.completed += 1
-                self._tick()
-                continue
-            self.stats.simulated += 1
-            self.stats.completed += 1
-            self._store(key, result)
-            results[index] = result
-            self._tick()
+                raise RunnerError(
+                    job, f"attempt: {failed}\nretry: {traceback.format_exc()}"
+                ) from None
+        self.stats.simulated += 1
+        self._store(key, result)
+        return result
 
-    # -- incremental path (the campaign engine's substrate) --------------
+    # -- incremental path -------------------------------------------------
 
     def session(self, *, workers: Optional[int] = None) -> "RunnerSession":
         """An incremental submit/cancel/as-completed execution session.
 
-        Where :meth:`run` is a batch barrier (every job submitted up
-        front, results returned together), a session keeps one worker
-        pool alive and lets the caller feed it continuously: ``submit``
-        returns immediately, ``next_completed`` harvests results one at
-        a time in completion order, and ``cancel`` revokes work that has
-        not started.  The campaign engine
-        (:class:`~repro.harness.campaign.CampaignEngine`) is built on
-        this API.
+        A session keeps one worker pool alive and lets the caller feed
+        it continuously: ``submit`` returns immediately,
+        ``next_completed`` harvests results one at a time in completion
+        order, and ``cancel`` revokes work that has not started.
+        :meth:`run`, the campaign engine
+        (:class:`~repro.harness.campaign.CampaignEngine`) and the
+        service are built on this API.
         """
         return RunnerSession(self, workers=workers)
 
@@ -546,11 +469,11 @@ class TrialHandle:
     """One submitted job inside a :class:`RunnerSession`.
 
     ``result`` is a :class:`SimulationResult` on success or a
-    :class:`RunnerError` when the job failed its pool attempt *and* the
-    in-parent retry (mirroring ``run(on_error="return")``); it is only
-    meaningful once ``done`` is true.  ``tag`` is an opaque caller
-    payload carried through untouched (the campaign engine stores its
-    (cell, index, attempt) bookkeeping there).
+    :class:`RunnerError` when the job failed its attempt *and* its
+    retry; it is only meaningful once ``done`` is true.  ``tag`` is an
+    opaque caller payload carried through untouched (the campaign
+    engine stores its (cell, index, attempt) bookkeeping there,
+    :meth:`ParallelRunner.run` the job's batch index).
     """
 
     __slots__ = (
@@ -582,10 +505,17 @@ class RunnerSession:
     in-process and execute lazily inside :meth:`next_completed`, which
     keeps single-worker sessions deterministic *and* cancellable.
 
-    The session shares the owning runner's memo, result cache, timeout,
-    retry budget and stats; a cache hit at submit time completes the
-    handle immediately (it is still delivered through
-    :meth:`next_completed`, in submit order, ahead of simulated work).
+    Every job runs under the module's one retry policy: a failed pool
+    attempt is retried once in the calling process, an in-process job
+    gets its attempt and its retry there.  A pool whose worker died is
+    rebuilt on the next submit (``pool_rebuilds``); a fresh pool that
+    cannot start at all turns the session in-process for the rest of
+    its life (``pool_start_failures``).
+
+    The session shares the owning runner's memo, result cache, timeout
+    and stats; a cache hit at submit time completes the handle
+    immediately (it is still delivered through :meth:`next_completed`,
+    in submit order, ahead of simulated work).
     """
 
     def __init__(self, runner: ParallelRunner, *, workers: Optional[int] = None):
@@ -611,9 +541,7 @@ class RunnerSession:
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        self._drop_pool()
         self.runner.stats.elapsed += time.monotonic() - self._started
 
     # -- submission -------------------------------------------------------
@@ -632,43 +560,51 @@ class RunnerSession:
         self.runner.stats.jobs += 1
         cached = self.runner._lookup(key)
         if cached is not None:
-            handle.result = cached
-            handle.done = True
             handle.cached = True
-            self.runner.stats.completed += 1
-            self._ready.append(handle)
+            self._ready.append(self._finish(handle, cached))
             return handle
         if key is None:
             self.runner.stats.uncacheable += 1
-        if self.workers <= 1:
+        future = self._pool_submit(job) if self.workers > 1 else None
+        if future is None:
             self._queue.append(handle)
         else:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            try:
-                future = self._pool.submit(_worker, (job, self.runner.timeout))
-            except BrokenExecutor:
-                # A worker died hard enough to poison the executor (the
-                # already-submitted futures surface their own errors
-                # through next_completed's in-parent retry).  Rebuild
-                # once and resubmit; a second failure is a real
-                # environment problem and propagates.
-                self._rebuild_pool()
-                future = self._pool.submit(_worker, (job, self.runner.timeout))
             handle._future = future
             self._futures[future] = handle
         return handle
 
-    def _rebuild_pool(self) -> None:
-        """Replace a broken executor with a fresh one (session keeps going)."""
+    def _pool_submit(self, job: Job):
+        """Hand *job* to the pool; None once no pool can start."""
+        payload = (job, self.runner.timeout)
+        if self._pool is not None:
+            try:
+                return self._pool.submit(_worker, payload)
+            except BrokenExecutor:
+                # A worker died hard enough to poison the executor (the
+                # futures already submitted surface their own errors
+                # through next_completed's retry): start a fresh pool.
+                self._drop_pool()
+                recovery.count("pool_rebuilds")
+                recovery.warn(
+                    "runner", "worker pool broke (worker died); rebuilt the pool"
+                )
+        try:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            return self._pool.submit(_worker, payload)
+        except (OSError, BrokenExecutor) as exc:
+            self._drop_pool()
+            self.workers = 1
+            recovery.count("pool_start_failures")
+            recovery.warn(
+                "runner",
+                f"worker pool could not start ({exc!r}); running in-process",
+            )
+            return None
+
+    def _drop_pool(self) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        recovery.count("pool_rebuilds")
-        recovery.warn(
-            "runner", "worker pool broke (worker died); rebuilt the pool"
-        )
 
     def submit_spec(self, spec: ExperimentSpec, tag: Any = None) -> TrialHandle:
         """:meth:`submit` for an :class:`ExperimentSpec`.
@@ -723,16 +659,13 @@ class RunnerSession:
         """The next finished handle, or None on timeout / empty session.
 
         Completion order: cache hits first (in submit order), then
-        simulated jobs as their workers finish.  Failed jobs get one
-        in-parent retry before surfacing a :class:`RunnerError` as the
-        handle's result — exactly the batch path's degradation
-        contract.
+        simulated jobs as they finish.  A job that failed its attempt
+        and its retry carries a :class:`RunnerError` as its result.
         """
         if self._ready:
             return self._ready.popleft()
         if self._queue:
-            handle = self._queue.popleft()
-            return self._finish(handle, *self._execute(handle.job, handle.key))
+            return self._run_here(self._queue.popleft())
         if not self._futures:
             return None
         done, _ = wait(
@@ -750,46 +683,29 @@ class RunnerSession:
             if status == "ok":
                 self.runner.stats.simulated += 1
                 self.runner._store(handle.key, payload)
-                self._ready.append(self._finish(handle, payload, None))
+                self._ready.append(self._finish(handle, payload))
             else:
-                # In-parent retry, mirroring the batch pool path: one
-                # pool attempt has already failed, so this burns the
-                # retry budget directly in the calling process.
-                self.runner.stats.retries += 1
-                try:
-                    result = _run_with_timeout(
-                        handle.job, self.runner.timeout, True
-                    )
-                except Exception:
-                    self.runner.stats.failures += 1
-                    error = RunnerError(
-                        handle.job,
-                        f"pool attempt: {payload}\n"
-                        f"retry: {traceback.format_exc()}",
-                    )
-                    self._ready.append(self._finish(handle, None, error))
-                else:
-                    self.runner.stats.simulated += 1
-                    self.runner._store(handle.key, result)
-                    self._ready.append(self._finish(handle, result, None))
+                self._ready.append(self._run_here(handle, str(payload)))
         return self._ready.popleft()
 
     # -- internals --------------------------------------------------------
 
-    def _execute(self, job: Job, key: Optional[str]):
-        """In-process execution with the runner's full retry budget."""
+    def _run_here(
+        self, handle: TrialHandle, failed: Optional[str] = None
+    ) -> TrialHandle:
+        """Finish *handle* in this process: its attempt or, after a
+        failed pool attempt (*failed*), its retry."""
         try:
-            return self.runner._execute_with_retry(job, key), None
+            result = self.runner._execute(handle.job, handle.key, failed)
         except RunnerError as error:
-            return None, error
+            result = error
+        return self._finish(handle, result)
 
     def _finish(
-        self,
-        handle: TrialHandle,
-        result: Optional[SimulationResult],
-        error: Optional[RunnerError],
+        self, handle: TrialHandle, result: Union[SimulationResult, RunnerError]
     ) -> TrialHandle:
-        handle.result = error if error is not None else result
+        handle.result = result
         handle.done = True
-        self.runner.stats.completed += 1
+        if not isinstance(result, RunnerError):
+            self.runner.stats.completed += 1
         return handle

@@ -41,6 +41,10 @@ Counters (all monotonic within a process):
 ``pool_rebuilds``
     Worker pools recreated after the previous pool broke (a worker
     died hard enough to poison the executor).
+``pool_start_failures``
+    Runner sessions whose fresh worker pool could not start (``fork``
+    refused, executor broken on its first submit); the session runs its
+    jobs in-process from then on.
 ``native_fallbacks``
     Compiled phase-2 kernels that failed to build/load, silently
     replaced by the bit-identical pure-Python loop.

@@ -11,6 +11,9 @@ skips the comparisons.  Review the resulting diff before committing — a
 golden change is a behavior change.
 """
 
+import errno
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 
@@ -26,3 +29,18 @@ def pytest_addoption(parser):
 @pytest.fixture
 def update_golden(request):
     return request.config.getoption("--update-golden")
+
+
+class _ForkRefusedPool(ProcessPoolExecutor):
+    """A worker pool whose processes can never start."""
+
+    def submit(self, *args, **kwargs):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.fixture
+def fork_refused(monkeypatch):
+    """Make every runner pool fail its first submit with ``EAGAIN``."""
+    import repro.harness.runner as runner_mod
+
+    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", _ForkRefusedPool)

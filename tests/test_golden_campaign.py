@@ -9,7 +9,7 @@ edit while the records and statistics must not.
 
 The configs cover a plain campaign, a small-batch grid, adaptive stopping
 (every cell converges at ``min_trials``), trials that crash on every
-attempt with no retries, and the per-cell circuit breaker.  Other tests
+attempt and its retry, and the per-cell circuit breaker.  Other tests
 (``tests/test_harness_scheduler.py``, ``tests/chaos/test_breaker.py``)
 compare the engine under other worker counts, lookahead depths and
 interrupt/resume against the same pins through :func:`pinned`.
@@ -77,7 +77,7 @@ CONFIGS = {
     "small-trials4-batch2": (dict(SMALL, trials=4, batch_size=2), {}),
     "small-trials2-batch2": (dict(SMALL, trials=2, batch_size=2), {}),
     "adaptive": (ADAPTIVE, {}),
-    "failing-no-retries": (FAILING, {"retries": 0}),
+    "failing-no-retries": (FAILING, {}),
     "breaker": (BREAKER, {}),
 }
 

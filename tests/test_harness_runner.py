@@ -11,6 +11,7 @@ import signal
 
 import pytest
 
+from repro import recovery
 from repro.harness.cache import ResultCache
 from repro.harness.experiment import run_experiment
 from repro.harness.runner import (
@@ -115,6 +116,62 @@ class TestInProcessFallback:
         assert results[0].scheme == "BaseP"
 
 
+class TestPoolCannotStart:
+    def test_run_falls_back_to_in_process(self, fork_refused):
+        before = recovery.counter("pool_start_failures")
+        runner = ParallelRunner(jobs=2)
+        assert runner.run(_jobs()) == _serial()
+        assert runner.stats.simulated == len(GRID)
+        assert runner.stats.retries == 0
+        assert recovery.counter("pool_start_failures") == before + 1
+
+
+class TestBatchAccounting:
+    """One mixed batch: a memo hit, a fresh job, its duplicate and
+    (optionally) a job that fails its attempt and its retry."""
+
+    BAD = Job("gzip", "ICR-P-PS(S)", dict(n_instructions=N, nosuch_knob=1))
+
+    @classmethod
+    def _counts(cls, workers, failing):
+        runner = ParallelRunner(jobs=workers)
+        memo_hit = Job("gzip", "BaseP", dict(n_instructions=N))
+        runner.run([memo_hit])
+        fresh = Job("gzip", "BaseECC", dict(n_instructions=N))
+        duplicate = Job("gzip", "BaseECC", dict(n_instructions=N))
+        batch = [memo_hit, fresh, duplicate]
+        if failing:
+            with pytest.raises(RunnerError, match="nosuch"):
+                runner.run(batch + [cls.BAD])
+        else:
+            results = runner.run(batch)
+            assert results[1] is results[2]
+        counts = runner.stats.snapshot()
+        del counts["elapsed"], counts["sims_per_sec"]
+        return counts
+
+    @pytest.mark.parametrize(
+        "failing, expected",
+        [
+            (
+                False,
+                dict(jobs=4, completed=4, cache_hits=2, simulated=2,
+                     retries=0, failures=0, hit_rate=0.5),
+            ),
+            (
+                True,
+                dict(jobs=5, completed=3, cache_hits=1, simulated=2,
+                     retries=1, failures=1, hit_rate=0.2),
+            ),
+        ],
+        ids=["clean", "failing"],
+    )
+    def test_same_counts_on_every_worker_count(self, failing, expected):
+        expected = dict(expected, uncacheable=0, cancelled=0)
+        assert self._counts(1, failing) == expected
+        assert self._counts(2, failing) == expected
+
+
 class TestRetryAndFailure:
     # Unknown scheme *names* are rejected by the registry before a job
     # ever reaches a worker, so a bogus ICR knob (caught only when the
@@ -136,7 +193,7 @@ class TestRetryAndFailure:
         ]
         with pytest.raises(RunnerError):
             runner.run(jobs)
-        assert runner.stats.retries >= 1
+        assert runner.stats.retries == runner.stats.failures == 1
 
     @pytest.mark.skipif(
         not hasattr(signal, "SIGALRM"), reason="needs POSIX interval timers"

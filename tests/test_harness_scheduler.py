@@ -50,6 +50,14 @@ class TestByteIdenticalReports:
             ).run()
             assert_matches_pin(out, name)
 
+    def test_pool_that_cannot_start_matches_pin(self, fork_refused):
+        before = recovery.counter("pool_start_failures")
+        out = CampaignEngine(
+            config_for("small"), runner_for("small", jobs=2), workers=2
+        ).run()
+        assert_matches_pin(out, "small")
+        assert recovery.counter("pool_start_failures") == before + 1
+
     def test_adaptive_stopping_matches_pin(self):
         out = CampaignEngine(config_for("adaptive"), runner_for("adaptive")).run()
         assert_matches_pin(out, "adaptive")
@@ -388,7 +396,7 @@ class TestRunnerSession:
             assert not session.cancel(handle)
 
     def test_failure_surfaces_runner_error(self):
-        runner = ParallelRunner(jobs=1, retries=0)
+        runner = ParallelRunner(jobs=1)
         bad = Job.from_spec(
             ExperimentSpec(
                 "gzip",
