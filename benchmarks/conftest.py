@@ -10,10 +10,12 @@ The suite runs on the parallel execution engine
 (:mod:`repro.harness.runner`), configured through the environment:
 
 ``REPRO_BENCH_JOBS``
-    Worker processes (default 1 = serial, in-process — identical to the
-    historical behavior).  With more than one, each figure's job grid is
-    prefetched through the worker pool before the figure function
-    replays it, so the recorded tables are bit-identical either way.
+    Worker processes (default 1 = serial, in-process).  With more than
+    one, each figure's job grid runs as one batch through the worker
+    pool before the benchmarked call replays the figure
+    (:func:`repro.harness.figures.prefetched`, the same path as
+    ``repro figure --jobs N``), so the recorded tables are
+    bit-identical either way.
 ``REPRO_BENCH_CACHE``
     Set to ``1`` to persist results in the content-addressed cache
     (``REPRO_CACHE_DIR`` or ``~/.cache/repro``); re-running the suite
@@ -75,27 +77,19 @@ def _figure_id_for(module_name: str):
 
 @pytest.fixture(autouse=True)
 def _parallel_prefetch(request, engine):
-    """Warm the engine's cache for this module's figure, then replay.
+    """Run this module's figure under the suite's engine.
 
-    With ``REPRO_BENCH_JOBS > 1`` the figure's whole job grid is traced
-    and fanned out over the worker pool *before* the benchmarked call;
-    the benchmarked figure function then replays from the in-memory memo.
-    With a serial engine (or none) this only installs the execution
-    context, preserving the historical behavior exactly.
+    With ``REPRO_BENCH_JOBS > 1`` the figure's job grid is fanned out
+    over the worker pool *before* the benchmarked call, which then
+    replays from the in-memory memo; a serial engine runs the figure
+    directly.  Either way every job is counted once.
     """
     if engine is None:
         yield
         return
     figure_id = _figure_id_for(request.node.module.__name__)
-    if (
-        engine.jobs > 1
-        and figure_id is not None
-        and figure_id not in figures_mod.PREFETCH_UNSAFE
-    ):
-        collector = figures_mod._JobCollector()
-        with figures_mod.execution_context(collector):
-            ALL_FIGURES[figure_id](n=BENCH_INSTRUCTIONS)
-        engine.run(collector.jobs)
+    if figure_id is not None:
+        engine = figures_mod.prefetched(figure_id, engine, n=BENCH_INSTRUCTIONS)
     with figures_mod.execution_context(engine):
         yield
 

@@ -101,8 +101,8 @@ class FigureResult:
 #
 # Every simulation a figure function performs goes through _run().  By
 # default that is a plain run_experiment() call; under an execution
-# context it is routed through a ParallelRunner (caching, metrics) or a
-# job collector (the prefetch pass of run_figure).
+# context it is routed through a ParallelRunner (caching, metrics), a
+# job collector or a replay engine (the two passes of prefetched()).
 # ---------------------------------------------------------------------------
 
 #: The active execution engine, or None for direct serial execution.
@@ -194,42 +194,37 @@ class _ReplayEngine:
         return self.runner.run_one(benchmark, scheme, **kwargs)
 
 
-#: Figure functions that simulate outside _run(); collecting their jobs
-#: would run that work twice, so run_figure executes them in a single
-#: pass instead.  The rcache / victim-cache comparisons left this set
-#: when those baselines became registered schemes running through _run.
-PREFETCH_UNSAFE = frozenset({"comparison_area"})
+def prefetched(figure_id: str, runner: ParallelRunner, **kwargs):
+    """The execution engine that runs figure *figure_id* through *runner*.
+
+    With more than one worker the figure function is first traced with
+    placeholder results to collect its job grid, the grid runs as one
+    batch through ``runner.run`` (worker pool + cache), and the returned
+    engine replays the figure from the warmed memo — output
+    bit-identical to the serial path, each job counted once.  A serial
+    runner gains nothing from the batch and is returned as is.
+    """
+    if runner.jobs <= 1:
+        return runner
+    collector = _JobCollector()
+    with execution_context(collector):
+        ALL_FIGURES[figure_id](**kwargs)
+    runner.run(collector.jobs)
+    return _ReplayEngine(runner)
 
 
 def run_figure(
-    figure_id: str,
-    *,
-    runner: Optional[ParallelRunner] = None,
-    prefetch: Optional[bool] = None,
-    **kwargs,
+    figure_id: str, *, runner: Optional[ParallelRunner] = None, **kwargs
 ) -> FigureResult:
-    """Run one registered figure, optionally through a parallel runner.
+    """Run one registered figure, optionally through a runner.
 
-    With a *runner*, the figure function is first traced with
-    placeholder results to collect its full (benchmark, scheme) job
-    grid, the grid is executed through ``runner.run`` (worker pool +
-    cache), and the figure function is then replayed against the warmed
-    cache — producing output bit-identical to the serial path.  Set
-    ``prefetch=False`` to skip the trace and run serially (still cached).
+    Without a *runner* the figure simulates directly; with one it runs
+    under :func:`prefetched`'s engine.
     """
     fn = ALL_FIGURES[figure_id]
     if runner is None:
         return fn(**kwargs)
-    if prefetch is None:
-        prefetch = runner.jobs > 1 and figure_id not in PREFETCH_UNSAFE
-    if prefetch:
-        collector = _JobCollector()
-        with execution_context(collector):
-            fn(**kwargs)
-        runner.run(collector.jobs)
-        with execution_context(_ReplayEngine(runner)):
-            return fn(**kwargs)
-    with execution_context(runner):
+    with execution_context(prefetched(figure_id, runner, **kwargs)):
         return fn(**kwargs)
 
 

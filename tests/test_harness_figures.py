@@ -1,6 +1,8 @@
 """Smoke/shape tests for the per-figure harness (small trace lengths)."""
 
 
+import pytest
+
 from repro.harness.figures import (
     ALL_FIGURES,
     ablation_victim_policy,
@@ -9,7 +11,9 @@ from repro.harness.figures import (
     figure_09,
     figure_10,
     figure_16,
+    run_figure,
 )
+from repro.harness.runner import ParallelRunner
 
 SMALL = 15_000
 BENCH_SUBSET = ("gzip", "mcf")
@@ -23,6 +27,20 @@ class TestRegistry:
     def test_ablations_present(self):
         assert "ablation_distance" in ALL_FIGURES
         assert "ablation_victim_policy" in ALL_FIGURES
+
+
+class TestRunFigure:
+    @pytest.mark.parametrize("figure_id", ["fig10", "comparison_area"])
+    def test_pool_rows_match_serial_and_count_each_job_once(self, figure_id):
+        serial = ParallelRunner(jobs=1)
+        rows = run_figure(figure_id, runner=serial, n=3_000).rows
+        assert rows == ALL_FIGURES[figure_id](n=3_000).rows
+        distinct = serial.stats.simulated
+        assert (distinct > 0) == (figure_id == "fig10")
+
+        pool = ParallelRunner(jobs=2)
+        assert run_figure(figure_id, runner=pool, n=3_000).rows == rows
+        assert pool.stats.jobs == pool.stats.simulated == distinct
 
 
 class TestFigureShapes:
