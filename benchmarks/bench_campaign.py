@@ -2,11 +2,12 @@
 
 Runs a deliberately small campaign (two schemes, one benchmark, a
 handful of trials) through :class:`~repro.harness.campaign.CampaignEngine`
-on both kernel backends: ``object`` (the campaign default) and ``auto``
-(fault-injected trials on the per-access SoA kernel).  Trials/sec, the
-engine telemetry (worker utilization, steals, cancelled-trial savings,
-per-tier ``backend_latency``) and the ``auto`` speedup of each backend
-land under ``backends`` in ``benchmarks/results/BENCH_campaign.json``,
+on both kernel backends: ``array`` (the campaign default: fault-injected
+trials on the per-access SoA kernel) and ``object`` (the reference
+oracle).  Trials/sec, the engine telemetry (worker utilization, steals,
+cancelled-trial savings, per-tier ``backend_latency``) and the array
+backend's speedup over the oracle land under ``backends`` in
+``benchmarks/results/BENCH_campaign.json``,
 with ``byte_identical_backends`` recording that the two reports match
 byte for byte apart from the campaign digest (which hashes the backend).
 The object run's report and summary table are recorded as well, and
@@ -81,7 +82,7 @@ def main(argv=None) -> int:
     # -- the smoke campaign on both backends --------------------------------
     reports = {}
     backends = {}
-    for backend in ("object", "auto"):
+    for backend in ("object", "array"):
         report, telemetry, elapsed = _run_once(
             dataclasses.replace(config, backend=backend), args.jobs
         )
@@ -101,12 +102,12 @@ def main(argv=None) -> int:
         )
     byte_identical_backends = _without_digest(
         reports["object"]
-    ) == _without_digest(reports["auto"])
+    ) == _without_digest(reports["array"])
     if not byte_identical_backends:
-        print("FAIL: object and auto backend reports differ", file=sys.stderr)
-    if backends["auto"]["elapsed_s"]:
-        backends["auto_speedup"] = round(
-            backends["object"]["elapsed_s"] / backends["auto"]["elapsed_s"], 2
+        print("FAIL: object and array backend reports differ", file=sys.stderr)
+    if backends["array"]["elapsed_s"]:
+        backends["array_speedup"] = round(
+            backends["object"]["elapsed_s"] / backends["array"]["elapsed_s"], 2
         )
     report = reports["object"]
 

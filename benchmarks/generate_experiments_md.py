@@ -65,7 +65,7 @@ with a 95% percentile-bootstrap confidence interval — use it before
 reading significance into a small gap between two schemes.  The
 non-blocking `campaign-smoke` CI job publishes a small such campaign
 (`benchmarks/results/BENCH_campaign.*`) on every push, run on both
-kernel backends (`object` and `auto`) with byte-identical reports; the
+kernel backends (`object` and `array`) with byte-identical reports; the
 JSON artifact also records per-backend trials/sec and the engine
 telemetry (worker utilization, cancelled-trial savings).
 

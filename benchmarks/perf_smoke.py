@@ -19,10 +19,12 @@ Metrics (higher is better):
     ``ICRCache.access`` micro-loop on the headline ICR-P-PS(S) scheme —
     the same workload as ``test_icr_cache_access_throughput``.
 ``base_cache_accesses_per_sec``
-    ``ICRCache.access`` micro-loop on BaseP (exercises the fast path).
+    ``ICRCache.access`` micro-loop on BaseP (the object kernel's single
+    demand path on a non-replicating scheme).
 ``end_to_end_sims_per_sec``
     Whole simulations per second through ``ParallelRunner`` (jobs=1, result
-    cache disabled, traces pre-generated): pipeline + hierarchy + dL1.
+    cache disabled, traces pre-generated) on the object kernel, the plain
+    reference oracle: pipeline + hierarchy + dL1.
 ``end_to_end_sims_per_sec_array``
     The same grid under ``backend="array"`` (the struct-of-arrays kernel),
     measured warm — trace memo, prestage memo and the native phase-2
@@ -34,8 +36,8 @@ Metrics (higher is better):
     words, the fault injector and the recovery paths.
 ``end_to_end_sims_per_sec_fault_array``
     The same trial under ``backend="array"``, which runs it on the
-    per-access SoA kernel (``array-soa``) — the tier every campaign trial
-    takes under ``backend="auto"``.
+    per-access SoA kernel (``array-soa``) — the tier every fault-injected
+    campaign trial takes under the default backend.
 ``cold_sweep_sims_per_sec``
     Same grid but with cold in-process trace memo (includes trace
     generation / trace-cache time, the sweep-level view).

@@ -69,23 +69,15 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_flag(
-    parser: argparse.ArgumentParser, *, allow_auto: bool = False
-) -> None:
-    choices = ("object", "array", "auto") if allow_auto else ("object", "array")
-    extra = (
-        "; 'auto' resolves per campaign cell, preferring 'array' "
-        "wherever the kernel supports the spec"
-        if allow_auto
-        else ""
-    )
+def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        choices=choices,
-        default="object",
-        help="simulation kernel: 'object' (the CacheBlock reference "
-        "implementation) or 'array' (the struct-of-arrays kernel, "
-        f"bit-identical where supported and substantially faster){extra}",
+        choices=("object", "array"),
+        default="array",
+        help="simulation kernel: 'array' (default: the struct-of-arrays "
+        "kernels wherever they support the run, the object kernel "
+        "elsewhere) or 'object' (the CacheBlock reference implementation); "
+        "both give bit-identical results",
     )
 
 
@@ -283,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lease/record files in DIR (they partition the cell grid and "
         "warm each other's caches)",
     )
-    _add_backend_flag(campaign, allow_auto=True)
+    _add_backend_flag(campaign)
     _add_runner_flags(campaign)
 
     serve = sub.add_parser(

@@ -78,7 +78,7 @@ from repro.cache.stats import CacheStats
 from repro.coding import hamming
 from repro.coding.parity import byte_parity_bits
 from repro.coding.protection import ProtectionKind
-from repro.core import _native
+from repro.core import _native, registry
 from repro.core.config import (
     ICRConfig,
     LookupMode,
@@ -88,6 +88,7 @@ from repro.core.config import (
 from repro.core.icr_cache import ICRCache
 from repro.core.placement import HashRing, build_placement
 from repro.core.protocol import DL1Outcome
+from repro.core.schemes import make_config
 
 # ---------------------------------------------------------------------------
 # outcome codes (table-driven classification)
@@ -232,36 +233,61 @@ def batched_supported(spec, config: ICRConfig, machine) -> bool:
     )
 
 
-def backend_mode(spec) -> str:
-    """Which kernel a spec resolves to: ``array-batched``/``array-soa``/``object``.
+def resolve_kernel(spec) -> tuple[str, Optional[ICRConfig]]:
+    """The kernel tier a spec runs on, and the ICR config it runs with.
 
-    Mirrors the dispatch in :func:`repro.harness.experiment._run_spec`;
-    used by tests and benchmarks to assert the strategy, never to change
-    results (all three modes are bit-identical).
+    The one dispatch rule: :func:`repro.harness.experiment._run_spec`
+    executes the tier returned here, so the tier :func:`backend_mode`
+    reports is the tier that ran.  Tiers are ``array-batched``,
+    ``array-soa`` and ``object``.  The config is ``None`` for schemes
+    the registry builds as whole models (the rcache/victim-cache
+    baselines and external entry-point schemes); those always run the
+    object kernel.
     """
-    if spec.backend != "array":
-        return "object"
-    from repro.harness.spec import MachineConfig
-
-    machine = spec.machine or MachineConfig()
     if isinstance(spec.scheme, ICRConfig):
+        if spec.scheme_kwargs:
+            raise ValueError("pass scheme kwargs only with a scheme *name*")
         config = spec.scheme
+    elif registry.scheme_info(spec.scheme).kind == "baseline":
+        return "object", None
     else:
-        from repro.core.registry import scheme_info
+        try:
+            config = make_config(spec.scheme, **scheme_kwargs_of(spec))
+        except TypeError as exc:
+            raise TypeError(f"scheme {spec.scheme!r}: {exc}") from None
+        except registry.UnknownSchemeError:
+            # Registered (the spec resolved the name) but not an
+            # ICR-family config scheme: an external entry-point scheme.
+            return "object", None
+    if spec.backend == "array":
+        from repro.harness.spec import MachineConfig
 
-        if scheme_info(spec.scheme).kind == "baseline":
-            return "object"
-        from repro.core.schemes import make_config
+        if batched_supported(spec, config, spec.machine or MachineConfig()):
+            return "array-batched", config
+        if soa_supported(spec, config):
+            return "array-soa", config
+    return "object", config
 
-        kwargs = dict(spec.scheme_kwargs)
-        if spec.error_rate > 0.0:
-            kwargs.setdefault("track_data", True)
-        config = make_config(spec.scheme, **kwargs)
-    if batched_supported(spec, config, machine):
-        return "array-batched"
-    if soa_supported(spec, config):
-        return "array-soa"
-    return "object"
+
+def backend_mode(spec) -> str:
+    """Which kernel a spec runs on: ``array-batched``/``array-soa``/``object``.
+
+    Used by tests, benchmarks and the per-tier latency telemetry; never
+    changes results (all three tiers are bit-identical).
+    """
+    return resolve_kernel(spec)[0]
+
+
+def scheme_kwargs_of(spec) -> dict:
+    """The keyword arguments a named scheme is built with for *spec*.
+
+    Fault-injected runs need bit-accurate storage, so a nonzero
+    ``error_rate`` turns ``track_data`` on unless the spec sets it.
+    """
+    kwargs = dict(spec.scheme_kwargs)
+    if spec.error_rate > 0.0:
+        kwargs.setdefault("track_data", True)
+    return kwargs
 
 
 # ---------------------------------------------------------------------------

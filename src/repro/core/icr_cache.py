@@ -33,7 +33,7 @@ from typing import Callable, Optional
 from repro.cache.block import CacheBlock
 from repro.cache.set_assoc import Eviction, SetAssociativeCache
 from repro.coding.protection import ProtectionKind
-from repro.core.config import ICRConfig, ReplicationTrigger, silent_store_hash
+from repro.core.config import ICRConfig, silent_store_hash
 from repro.core.decay import DeadBlockPredictor
 from repro.core.policies import (
     LookupPolicy,
@@ -74,8 +74,6 @@ class ICRCache(SetAssociativeCache):
         self.replication_policy = ReplicationPolicy(
             self, config, self.victim_selector, self.protection_policy
         )
-        self._distances = self.replication_policy.distances
-        self._second_distances = self.replication_policy.second_distances
         self._all_distances = self.replication_policy.all_distances
         # Non-None when the scheme uses hash-ring placement: the probe
         # and placement walks then come from the ring's per-line
@@ -124,8 +122,6 @@ class ICRCache(SetAssociativeCache):
         self._replicates = self.replication_policy.enabled
         self._hints = self.replication_policy.hints
         self._parallel_lookup = self.lookup_policy.parallel
-        self._victim_policy = self.victim_selector.policy
-        self._allow_invalid_victims = self.victim_selector.allow_invalid
         # Bound-method mirror of the replication attempt entry point.
         self._replicate = self.replication_policy.attempt
         # Outcomes are frozen dataclasses, so the constant-latency ones can
@@ -144,15 +140,6 @@ class ICRCache(SetAssociativeCache):
             hit=False, latency=2, replica_fill=True
         )
         self._out_miss = DL1Outcome(hit=False, latency=None)
-        # Fast-path applicability: no bit-accurate storage, no replication
-        # trigger (BaseP/BaseECC) and no software hints.  Attached observers
-        # (injector/scrubber/monitor) are re-checked per access since they
-        # arrive by plain attribute assignment.
-        self._fast_demand = (
-            not config.track_data
-            and config.trigger is ReplicationTrigger.NONE
-            and config.hints is None
-        )
         # Silent-store-aware ECC (Base schemes): the sequence counter is
         # a cache attribute, not a stat, so a mid-trace stats reset (the
         # warmup window) never perturbs which stores are silent.
@@ -192,10 +179,6 @@ class ICRCache(SetAssociativeCache):
         for _, _, block in self.iter_valid_blocks():
             if block.is_replica:
                 self._replica_index.setdefault(block.block_addr, []).append(block)
-        if self._replica_index and not self.config.replicates:
-            # A foreign checkpoint parked replicas in a non-replicating
-            # cache; the fast path's no-replica premise no longer holds.
-            self._fast_demand = False
 
     def _sever_links(self, block: CacheBlock) -> None:
         """Detach *block* from its partners before it is reused."""
@@ -299,13 +282,6 @@ class ICRCache(SetAssociativeCache):
 
     def access(self, addr: int, is_write: bool, now: int) -> DL1Outcome:
         """One demand access from the pipeline; see module docstring."""
-        if (
-            self._fast_demand
-            and self.injector is None
-            and self.scrubber is None
-            and self.monitor is None
-        ):
-            return self._fast_access(addr, is_write, now)
         if self.injector is not None:
             self.injector.advance(now)
         if self.scrubber is not None:
@@ -339,99 +315,6 @@ class ICRCache(SetAssociativeCache):
                 return self._fill_from_replica(replica, word_index, is_write, now)
         return self._miss(block_addr, word_index, is_write, now)
 
-    def _fast_access(self, addr: int, is_write: bool, now: int) -> DL1Outcome:
-        """Streamlined demand path for non-replicating, data-free schemes.
-
-        Taken when the scheme's trigger is NONE (BaseP/BaseECC), no bit
-        storage is materialized and no observer is attached — then no
-        replica can exist and every protection/latency decision is a
-        per-cache constant, so the whole replication/verification
-        machinery of the full path reduces to plain hit/miss accounting.
-        Event counts and outcomes are bit-identical to the full path.
-        """
-        stats = self.stats
-        block_addr = addr >> self._block_shift
-        if is_write:
-            stats.stores += 1
-        else:
-            stats.loads += 1
-        stats.tag_probes += 1
-        block = self._tag_index.get(block_addr)
-        if (
-            block is not None
-            and block.valid
-            and not block.is_replica
-            and block.block_addr == block_addr
-        ):
-            if now > block.last_access_cycle:
-                block.last_access_cycle = now
-            self._lru_clock += 1
-            block.lru_stamp = self._lru_clock
-            if self._touch_tracked:
-                self.replacement.on_touch(block.set_index, block.way)
-            if is_write:
-                stats.store_hits += 1
-                if self._silent_sw:
-                    self._silent_seq += 1
-                    if (
-                        silent_store_hash(block_addr, self._silent_seq)
-                        < self._silent_threshold
-                    ):
-                        # Silent store: the read-compare confirms the
-                        # stored value is unchanged, so the write, the
-                        # code regeneration and the dirty marking are
-                        # all skipped (the line stays clean).
-                        stats.silent_stores += 1
-                        stats.array_reads += 1
-                        if self._unrep_is_parity:
-                            stats.parity_checks += 1
-                        else:
-                            stats.ecc_checks += 1
-                        return self._out_store_hit
-                stats.array_writes += 1
-                if self._writeback:
-                    block.dirty = True
-                if self._unrep_is_parity:
-                    stats.parity_generates += 1
-                else:
-                    stats.ecc_generates += 1
-                return self._out_store_hit
-            stats.load_hits += 1
-            stats.array_reads += 1
-            if self._unrep_is_parity:
-                stats.parity_checks += 1
-            else:
-                stats.ecc_checks += 1
-            return self._out_load_hit_unrep
-        # Miss: plain LRU allocate; no replica can serve it.
-        if is_write:
-            stats.store_misses += 1
-        else:
-            stats.load_misses += 1
-        victim = self.lru_victim(block_addr & self._set_mask)
-        SetAssociativeCache.evict(self, victim)
-        victim.fill(block_addr, now, dirty=False)
-        self._tag_index[block_addr] = victim
-        victim.protection = self._prot_unrep
-        stats.array_writes += 1
-        if self._unrep_is_parity:
-            stats.parity_generates += 1
-        else:
-            stats.ecc_generates += 1
-        self._lru_clock += 1
-        victim.lru_stamp = self._lru_clock
-        if self._touch_tracked:
-            self.replacement.on_touch(victim.set_index, victim.way)
-        if is_write:
-            if self._writeback:
-                victim.dirty = True
-            stats.array_writes += 1
-            if self._unrep_is_parity:
-                stats.parity_generates += 1
-            else:
-                stats.ecc_generates += 1
-        return self._out_miss
-
     # -- hit path ----------------------------------------------------------
 
     def _hit(
@@ -453,6 +336,10 @@ class ICRCache(SetAssociativeCache):
                     silent_store_hash(primary.block_addr, self._silent_seq)
                     < self._silent_threshold
                 ):
+                    # Silent store: the read-compare confirms the stored
+                    # value is unchanged, so the write, the code
+                    # regeneration and the dirty marking are all skipped
+                    # (the line stays clean).
                     stats.silent_stores += 1
                     stats.array_reads += 1
                     if primary.protection is ProtectionKind.PARITY:

@@ -21,11 +21,11 @@ small policy object, built once from an :class:`~repro.core.config.ICRConfig`:
 
 :class:`~repro.core.icr_cache.ICRCache` builds all four in its
 constructor, mirrors their per-lifetime decisions into the hoisted
-scalars its demand fast paths read, and delegates every replication or
-protection *decision* here.  The split keeps the hot path exactly as
-fast as before (policies precompute; the cache executes) while making a
-new scheme a matter of composing different policies rather than editing
-the core access path.
+scalars its demand path reads, and delegates every replication or
+protection *decision* here.  The split keeps the demand path free of
+policy indirection (policies precompute; the cache executes) while
+making a new scheme a matter of composing different policies rather
+than editing the core access path.
 """
 
 from __future__ import annotations

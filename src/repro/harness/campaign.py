@@ -151,24 +151,24 @@ class CampaignConfig:
     measure_vulnerability: bool = False
     scrub_period: Optional[int] = None
     machine: Optional[MachineConfig] = None
-    #: Simulation kernel for every trial ("object" | "array" | "auto");
-    #: part of the campaign digest, so an object-backend checkpoint can
-    #: never be resumed by an array-backend campaign (or vice versa).
-    #: "auto" resolves per cell: trials whose spec the array kernel can
-    #: honor (per :func:`repro.core.array_kernel.backend_mode`) run with
-    #: ``backend="array"``, everything else falls back to "object" —
-    #: the resolution is a pure function of the cell, so it never
-    #: depends on which worker (or host) runs the trial.
-    backend: str = "object"
+    #: Simulation kernel for every trial ("array" | "object"); each
+    #: trial spec carries it, and each cell's trials run on the tier
+    #: :func:`repro.core.array_kernel.backend_mode` resolves (a pure
+    #: function of the cell, never of the worker or host).  Part of the
+    #: campaign digest, so an object-backend checkpoint can never be
+    #: resumed by an array-backend campaign (or vice versa).  "auto" is
+    #: accepted as an alias of "array": older clients still send it.
+    backend: str = "array"
     #: Extra scheme kwargs applied to non-Base schemes (e.g. the relaxed
     #: decay/victim knobs); normalized to a sorted tuple of pairs.
     scheme_kwargs: tuple = ()
 
     def __post_init__(self):
-        if self.backend not in ("object", "array", "auto"):
+        if self.backend == "auto":
+            object.__setattr__(self, "backend", "array")
+        if self.backend not in ("object", "array"):
             raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                "choose 'object', 'array' or 'auto'"
+                f"unknown backend {self.backend!r}; choose 'object' or 'array'"
             )
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         # Scheme names resolve through the registry: canonical spelling
@@ -227,35 +227,6 @@ class CampaignConfig:
         attempt): distinct cells never share seeds, and a retry after a
         crash gets a genuinely fresh seed rather than a neighbour.
         """
-        return self._spec(cell, index, attempt, self.trial_backend(cell))
-
-    def trial_backend(self, cell: Cell) -> str:
-        """The concrete kernel a cell's trials run ("object" | "array").
-
-        With ``backend="auto"`` this is the backend-aware dispatch:
-        prefer the array kernel wherever
-        :func:`~repro.core.array_kernel.backend_mode` reports it can
-        honor the spec (a per-cell property — every field the
-        eligibility predicates read is cell-constant), fall back to the
-        object kernel per cell otherwise.
-        """
-        if self.backend != "auto":
-            return self.backend
-        return "array" if self.trial_mode(cell) != "object" else "object"
-
-    def trial_mode(self, cell: Cell) -> str:
-        """The kernel tier the cell's trials execute on.
-
-        One of ``array-batched`` / ``array-soa`` / ``object`` — the
-        engine's per-backend latency telemetry is keyed by this.
-        """
-        if self.backend == "object":
-            return "object"
-        return _trial_mode(self, cell)
-
-    def _spec(
-        self, cell: Cell, index: int, attempt: int, backend: str
-    ) -> ExperimentSpec:
         # The shared scheme kwargs are the ICR design-space knobs (e.g.
         # the relaxed decay/victim settings); the registry's metadata
         # says which schemes they mean anything to — base schemes and
@@ -278,9 +249,20 @@ class CampaignConfig:
             ),
             measure_vulnerability=self.measure_vulnerability,
             scrub_period=self.scrub_period,
-            backend=backend,
+            backend=self.backend,
             scheme_kwargs=scheme_kwargs,
         )
+
+    def trial_mode(self, cell: Cell) -> str:
+        """The kernel tier the cell's trials execute on.
+
+        One of ``array-batched`` / ``array-soa`` / ``object`` — the
+        engine's per-tier latency telemetry is keyed by this — or
+        ``unresolved`` for a cell whose spec its scheme rejects (an
+        unknown knob, say): every such trial fails before reaching a
+        kernel, and the telemetry probe must not end the run.
+        """
+        return _trial_mode(self, cell)
 
 
 @lru_cache(maxsize=4096)
@@ -288,7 +270,10 @@ def _trial_mode(config: CampaignConfig, cell: Cell) -> str:
     """Memoized kernel-tier probe (``backend_mode`` builds a config)."""
     from repro.core.array_kernel import backend_mode
 
-    return backend_mode(config._spec(cell, 0, 0, "array"))
+    try:
+        return backend_mode(config.trial_spec(cell, 0, 0))
+    except (TypeError, ValueError):
+        return "unresolved"
 
 
 @dataclass
@@ -505,12 +490,16 @@ class CampaignReport:
         return format_table(columns, rows)
 
 
-#: Log-spaced per-trial latency histogram bucket edges (seconds).
+#: Log-spaced latency histogram bucket edges (seconds).
 HIST_EDGES = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0)
 
 
-def _latency_summary(values: list) -> dict:
-    """Order statistics plus a log-bucket histogram of trial latencies."""
+def latency_summary(values: list) -> dict:
+    """Order statistics plus a log-bucket histogram of latencies.
+
+    The per-tier telemetry payload of campaigns and of the simulation
+    service; an empty list summarizes to zeros.
+    """
     vals = sorted(values)
     n = len(vals)
     counts = [0] * (len(HIST_EDGES) + 1)
@@ -521,10 +510,10 @@ def _latency_summary(values: list) -> dict:
         counts[i] += 1
     return {
         "count": n,
-        "mean": sum(vals) / n,
-        "p50": vals[n // 2],
-        "p90": vals[min(n - 1, (9 * n) // 10)],
-        "max": vals[-1],
+        "mean": sum(vals) / n if n else 0.0,
+        "p50": vals[n // 2] if n else 0.0,
+        "p90": vals[min(n - 1, (9 * n) // 10)] if n else 0.0,
+        "max": vals[-1] if n else 0.0,
         "histogram": {"edges": list(HIST_EDGES), "counts": counts},
     }
 
@@ -1495,7 +1484,7 @@ class CampaignEngine:
             ),
             "lease_takeovers": self.lease_takeovers,
             "backend_latency": {
-                mode: _latency_summary(vals)
+                mode: latency_summary(vals)
                 for mode, vals in sorted(self._latency.items())
             },
             "runner": {

@@ -24,10 +24,8 @@ from typing import Optional, Union
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core import array_kernel
-from repro.core.config import ICRConfig
 from repro.core.icr_cache import ICRCache
-from repro.core.registry import UnknownSchemeError, build_dl1, scheme_info
-from repro.core.schemes import make_config
+from repro.core.registry import build_dl1
 from repro.cpu.branch import PredictorStats
 from repro.cpu.pipeline import OutOfOrderPipeline, PipelineResult
 from repro.energy.accounting import EnergyBreakdown, EnergyParams, energy_of
@@ -209,53 +207,24 @@ def _run_spec(spec: ExperimentSpec) -> SimulationResult:
         if isinstance(spec.benchmark, str)
         else spec.benchmark
     )
-    scheme_kwargs = dict(spec.scheme_kwargs)
-
-    if isinstance(spec.scheme, ICRConfig):
-        if scheme_kwargs:
-            raise ValueError("pass scheme kwargs only with a scheme *name*")
-        config = spec.scheme
-        dl1 = None
+    # One resolver picks the kernel tier (array_kernel.backend_mode
+    # reports the same choice): the batched engine where timing
+    # independence holds, the per-access SoA kernel where only the
+    # dL1-internal conditions hold, and the object kernel otherwise —
+    # all three bit-identical (tests/differential/).
+    mode, config = array_kernel.resolve_kernel(spec)
+    if mode == "array-batched":
+        return array_kernel.run_batched(spec, profile, config, machine)
+    if config is None:
+        # Wrapper models (rcache, victim-cache) and external schemes are
+        # built whole by the registry and run through the same machinery
+        # as the ICR family.
+        dl1 = build_dl1(spec.scheme, **array_kernel.scheme_kwargs_of(spec))
+        config = dl1.config
+    elif mode == "array-soa":
+        dl1 = array_kernel.ArrayDL1(config)
     else:
-        # Scheme names resolve through the registry, so the comparison
-        # baselines (rcache, victim-cache) run through the exact same
-        # machinery as the ICR family.
-        if spec.error_rate > 0.0:
-            scheme_kwargs.setdefault("track_data", True)
-        if scheme_info(spec.scheme).kind == "baseline":
-            # Wrapper models (rcache, victim-cache) have no SoA port;
-            # they always run the object kernel.
-            dl1 = build_dl1(spec.scheme, **scheme_kwargs)
-            config = dl1.config
-        else:
-            # Base/ICR schemes are ICRCache(make_config(...)); resolve
-            # the config first so the backend dispatch below can pick a
-            # kernel without building the object cache.
-            try:
-                config = make_config(spec.scheme, **scheme_kwargs)
-                dl1 = None
-            except TypeError as exc:
-                raise TypeError(f"scheme {spec.scheme!r}: {exc}") from None
-            except UnknownSchemeError:
-                # Registered (the spec resolved the name) but not an
-                # ICR-family config scheme: an external entry-point
-                # scheme.  Drive its model generically, like a baseline.
-                dl1 = build_dl1(spec.scheme, **scheme_kwargs)
-                config = dl1.config
-
-    if dl1 is None:
-        # Backend dispatch for the ICR family.  "array" is a pure
-        # execution-strategy knob: the batched engine where timing
-        # independence holds, the per-access SoA kernel where only the
-        # dL1-internal conditions hold, and the object kernel otherwise —
-        # all three bit-identical (tests/differential/).
-        if spec.backend == "array":
-            if array_kernel.batched_supported(spec, config, machine):
-                return array_kernel.run_batched(spec, profile, config, machine)
-            if array_kernel.soa_supported(spec, config):
-                dl1 = array_kernel.ArrayDL1(config)
-        if dl1 is None:
-            dl1 = ICRCache(config)
+        dl1 = ICRCache(config)
     # Wrapper models expose the ICR cache that holds the real array as
     # injection_target; observers always attach there.
     dl1_core = getattr(dl1, "injection_target", dl1)

@@ -80,13 +80,15 @@ class ExperimentSpec:
     trace_seed: int = 0
     warmup_instructions: int = 0
     icache_error_rate: float = 0.0
-    #: Simulation kernel: "object" (the CacheBlock-based reference
-    #: implementation) or "array" (the struct-of-arrays kernel of
-    #: repro.core.array_kernel, bit-identical where supported and
-    #: falling back to the object kernel elsewhere).  Participates in
+    #: Simulation kernel: "array" (the default: the struct-of-arrays
+    #: kernels of repro.core.array_kernel wherever they support the
+    #: spec, the object kernel elsewhere — see
+    #: :func:`~repro.core.array_kernel.backend_mode`) or "object" (the
+    #: CacheBlock-based reference implementation, the differential
+    #: oracle).  Both give bit-identical results.  Participates in
     #: :meth:`key`, so results from different backends never share a
     #: cache entry.
-    backend: str = "object"
+    backend: str = "array"
     scheme_kwargs: tuple = ()
 
     def __post_init__(self):
@@ -144,10 +146,8 @@ class ExperimentSpec:
     def with_backend(self, backend: str) -> "ExperimentSpec":
         """The same experiment on a different simulation kernel.
 
-        Used by backend-aware dispatch: the campaign probes
-        :func:`repro.core.array_kernel.backend_mode` on the array twin
-        of a spec to decide which kernel a cell's trials should run on.
-        Note the backend participates in :meth:`key`, so the twin is a
+        ``with_backend("object")`` is the spec's reference-oracle twin.
+        The backend participates in :meth:`key`, so the twin is a
         distinct cache identity.
         """
         return self.replace(backend=backend)

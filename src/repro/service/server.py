@@ -30,9 +30,12 @@ as local calls, a result served over HTTP is byte-identical to
 ``run_experiment(spec)`` run in-process — the concurrency test in
 ``tests/test_service.py`` pins exactly that.
 
-The service imports the simulator exclusively through
+The service builds and runs simulations exclusively through
 :mod:`repro.api` — it is the facade's first consumer and the reason the
-facade is frozen.
+facade is frozen.  Its telemetry also reads two internals that never
+touch the wire: the kernel-tier resolver
+(:func:`repro.core.array_kernel.backend_mode`) and the latency summary
+it shares with campaigns.
 """
 
 from __future__ import annotations
@@ -60,13 +63,14 @@ from repro.api import (
     get_scheme,
     list_schemes,
 )
+from repro.core.array_kernel import backend_mode
+from repro.harness.campaign import latency_summary
 from repro.service import jobs as _jobs
 from repro.service.http import (
     HttpError,
     Request,
     json_response,
     read_request,
-    response_bytes,
     sse_event,
     sse_preamble,
 )
@@ -74,9 +78,6 @@ from repro.service.jobs import JobRecord, PersistentJobQueue
 
 #: Sentinel shutting the execution thread down.
 _STOP = object()
-
-#: Log-spaced latency histogram edges (seconds).
-_LATENCY_EDGES = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 
 @dataclass
@@ -106,30 +107,10 @@ class ServiceConfig:
     timeout: Optional[float] = None
     #: In-memory retention bounds, so a long-running server does not
     #: grow linearly with every job ever submitted: latency samples per
-    #: backend, and terminal job records (+ their event logs) kept as
+    #: kernel tier, and terminal job records (+ their event logs) kept as
     #: the dedup index.
     max_latency_samples: int = 512
     max_terminal_jobs: int = 4096
-
-
-def _latency_summary(values: list[float]) -> dict[str, Any]:
-    """Order statistics plus a log-bucket histogram (telemetry payload)."""
-    vals = sorted(values)
-    n = len(vals)
-    counts = [0] * (len(_LATENCY_EDGES) + 1)
-    for v in vals:
-        i = 0
-        while i < len(_LATENCY_EDGES) and v >= _LATENCY_EDGES[i]:
-            i += 1
-        counts[i] += 1
-    return {
-        "count": n,
-        "mean": sum(vals) / n if n else 0.0,
-        "p50": vals[n // 2] if n else 0.0,
-        "p90": vals[min(n - 1, (9 * n) // 10)] if n else 0.0,
-        "max": vals[-1] if n else 0.0,
-        "histogram": {"edges": list(_LATENCY_EDGES), "counts": counts},
-    }
 
 
 class SimulationService:
@@ -390,8 +371,6 @@ class SimulationService:
             )
         if payload.get("machine") is not None:
             raise HttpError(400, "custom machines are not wire-serializable")
-        # The service's default kernel policy: backend-aware dispatch.
-        payload.setdefault("backend", "auto")
         try:
             return CampaignConfig(**payload)
         except UnknownSchemeError as exc:
@@ -450,10 +429,13 @@ class SimulationService:
             record.error = None
             self.store.warm(job_id, handle.result)
             self.jobs_done += 1
-            backend = record.payload["spec"].get("backend", "object")
             if record.started is not None:
+                # Keyed by the kernel tier that ran, as campaigns do.
+                tier = backend_mode(
+                    ExperimentSpec.from_dict(record.payload["spec"])
+                )
                 self._latency.setdefault(
-                    backend, deque(maxlen=self.config.max_latency_samples)
+                    tier, deque(maxlen=self.config.max_latency_samples)
                 ).append(record.finished - record.started)
             self._emit(job_id, "done", cached=handle.cached)
         else:
@@ -631,8 +613,8 @@ class SimulationService:
             "store": self.store.stats(),
             "runner": self.runner.stats.snapshot(),
             "backend_latency": {
-                backend: _latency_summary(list(vals))
-                for backend, vals in sorted(self._latency.items())
+                tier: latency_summary(list(vals))
+                for tier, vals in sorted(self._latency.items())
             },
             "campaigns": self._campaign_telemetry,
             "recovery": recovery.snapshot(),

@@ -5,9 +5,11 @@ though they are bit-identical by contract: the backend participates in
 the spec cache key and the campaign digest, so a cache entry or a
 checkpoint written under one backend is invisible to the other.  And
 when both backends *do* run the same campaign, the final reports are
-byte-for-byte equal.
+byte-for-byte equal.  At the CLI, the default backend (array) prints
+exactly what the object oracle prints.
 """
 
+from repro.cli import main
 from repro.harness.cache import ResultCache
 from repro.harness.campaign import CampaignConfig, CampaignEngine
 from repro.harness.experiment import run_experiment
@@ -102,3 +104,29 @@ def test_campaign_reports_byte_identical_across_backends():
     obj = reports["object"].replace(_campaign_config("object").digest(), "X")
     arr = reports["array"].replace(_campaign_config("array").digest(), "X")
     assert obj == arr
+
+
+def _cli_stdout(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_cli_compare_default_matches_object_oracle(capsys):
+    argv = ["compare", "gzip", "--instructions", "3000", "--no-cache"]
+    default = _cli_stdout(capsys, argv)
+    oracle = _cli_stdout(capsys, argv + ["--backend", "object"])
+    assert "BaseP" in default
+    assert default == oracle
+
+
+def test_cli_campaign_default_matches_object_oracle(capsys):
+    argv = [
+        "campaign", "--benchmark", "gzip",
+        "--schemes", "BaseP,ICR-P-PS(S)",
+        "--trials", "2", "--batch-size", "2", "--instructions", "3000",
+        "--no-checkpoint", "--no-cache",
+    ]
+    default = _cli_stdout(capsys, argv)
+    oracle = _cli_stdout(capsys, argv + ["--backend", "object"])
+    assert "ICR-P-PS(S)" in default
+    assert default == oracle

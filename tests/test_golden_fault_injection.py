@@ -8,6 +8,10 @@ the five error models on each of the four Fig. 14 schemes, plus one run
 with a background scrubber, at one fixed ``error_seed``.  Any change to
 how faults are drawn, stored, detected, corrected or counted fails here.
 
+The runs use ``backend="object"``, so these pins hold the object kernel
+(the reference oracle) directly; ``tests/differential/`` holds the
+array kernels to the same numbers.
+
 To re-pin after an *intentional* behavior change::
 
     PYTHONPATH=src python -m pytest tests/test_golden_fault_injection.py --update-golden
@@ -53,6 +57,7 @@ def _run(name: str) -> dict:
         n_instructions=N,
         error_rate=ERROR_RATE,
         error_seed=ERROR_SEED,
+        backend="object",
         **kwargs,
     )
     return run_experiment(spec).to_dict()

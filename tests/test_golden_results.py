@@ -5,6 +5,10 @@ for three canonical configurations against checked-in JSON files under
 ``tests/golden/``.  Any simulator change that shifts these numbers fails
 here first, with a readable diff of exactly which counter moved.
 
+The runs use ``backend="object"``, so these pins hold the object kernel
+(the reference oracle) directly; ``tests/differential/test_golden_array.py``
+pins the array kernels to the same files.
+
 To re-pin after an *intentional* behavior change::
 
     PYTHONPATH=src python -m pytest tests/test_golden_results.py --update-golden
@@ -50,7 +54,9 @@ def _snapshot(result):
 def test_golden(name, update_golden):
     benchmark, scheme, kwargs = CONFIGS[name]
     result = run_experiment(
-        ExperimentSpec.from_kwargs(benchmark, scheme, n_instructions=N, **kwargs)
+        ExperimentSpec.from_kwargs(
+            benchmark, scheme, n_instructions=N, backend="object", **kwargs
+        )
     )
     got = _snapshot(result)
 

@@ -15,6 +15,7 @@ The contract under test is the one DESIGN.md §12 argues for:
   record set after every trial.
 """
 
+import dataclasses
 import json
 import time
 
@@ -424,40 +425,50 @@ class TestRunnerSession:
         assert [by_tag[i] for i in range(3)] == serial
 
 
-class TestBackendAutoDispatch:
-    def test_auto_resolves_per_cell(self):
+class TestBackendTierDispatch:
+    def test_tier_resolves_per_cell(self):
         # Error-injection cells run on the per-access SoA kernel; a
-        # scrubbing campaign walks CacheBlocks, so there "auto" must fall
-        # back per cell rather than refusing the campaign.
-        config = config_for("small", backend="auto")
+        # scrubbing campaign walks CacheBlocks, so its cells fall back
+        # to the object tier rather than refusing the campaign.
+        config = config_for("small", backend="array")
         for cell in config.cells():
             assert config.trial_mode(cell) == "array-soa"
-            assert config.trial_backend(cell) == "array"
             assert config.trial_spec(cell, 0, 0).backend == "array"
-        scrubbed = config_for("small", backend="auto", scrub_period=500)
+        scrubbed = config_for("small", backend="array", scrub_period=500)
         for cell in scrubbed.cells():
-            assert scrubbed.trial_backend(cell) == "object"
-            assert scrubbed.trial_spec(cell, 0, 0).backend == "object"
+            assert scrubbed.trial_mode(cell) == "object"
+            assert scrubbed.trial_spec(cell, 0, 0).backend == "array"
 
-    def test_auto_prefers_array_when_supported(self):
+    def test_array_is_the_default_and_auto_an_alias(self):
         config = CampaignConfig(
             benchmarks=("gzip",),
             schemes=("BaseP",),
             error_rates=(0.0,),
             trials=2,
             n_instructions=3_000,
-            backend="auto",
         )
-        cell = config.cells()[0]
-        assert config.trial_mode(cell) != "object"
-        assert config.trial_backend(cell) == "array"
+        assert config.backend == "array"
+        assert dataclasses.replace(config, backend="auto") == config
+        assert config.trial_mode(config.cells()[0]) == "array-batched"
+        oracle = dataclasses.replace(config, backend="object")
+        assert oracle.trial_mode(oracle.cells()[0]) == "object"
 
-    def test_auto_report_matches_object_backend(self):
-        # Under "auto" error-injection campaigns run every cell on the
-        # per-access SoA kernel; the trial population must match the
-        # object backend's exactly — only the digest itself differs.
-        auto = config_for("small-trials2-batch2", backend="auto")
-        out = CampaignEngine(auto, ParallelRunner(jobs=1)).run()
+    def test_rejected_spec_reports_unresolved_tier(self):
+        # A knob the scheme rejects fails every trial before a kernel is
+        # chosen; the tier probe says so instead of ending the run.
+        config = config_for("small", scheme_kwargs={"nosuch_knob": 1})
+        icr = [c for c in config.cells() if c.scheme.startswith("ICR")]
+        assert icr
+        for cell in icr:
+            assert config.trial_mode(cell) == "unresolved"
+
+    def test_object_report_matches_pin(self):
+        # The pins run on the default array backend (the per-access SoA
+        # tier for these error-injection cells); the object oracle must
+        # reproduce the trial population exactly — only the digest
+        # itself differs.
+        config = config_for("small-trials2-batch2", backend="object")
+        out = CampaignEngine(config, ParallelRunner(jobs=1)).run()
         assert out.to_dict()["cells"] == pinned("small-trials2-batch2")["cells"]
 
 

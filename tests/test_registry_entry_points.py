@@ -109,6 +109,38 @@ class TestLoading:
         assert result.scheme == "Ext-Runs"
         assert result.dl1["loads"] > 0
 
+    def test_external_scheme_runs_on_the_object_tier(self, fake_entry_points):
+        # The tier resolver and the executed dispatch are one function:
+        # an external scheme reports the object tier it runs on, so a
+        # default (array-backend) campaign over it completes.
+        fake_entry_points.append(
+            _FakeEntryPoint("ext", _tiny_entry("Ext-Campaign"))
+        )
+        load_entry_point_schemes(force=True)
+        from repro.core.array_kernel import backend_mode
+        from repro.harness.campaign import CampaignConfig, CampaignEngine
+        from repro.harness.runner import ParallelRunner
+        from repro.harness.spec import ExperimentSpec
+
+        spec = ExperimentSpec(
+            "gzip", "Ext-Campaign", n_instructions=3000, backend="array"
+        )
+        assert backend_mode(spec) == "object"
+        config = CampaignConfig(
+            benchmarks=("gzip",),
+            schemes=("Ext-Campaign",),
+            error_rates=(1e-2,),
+            trials=2,
+            batch_size=2,
+            n_instructions=3000,
+            backend="array",
+        )
+        engine = CampaignEngine(config, ParallelRunner(jobs=1, cache=None))
+        report = engine.run()
+        assert report.complete
+        (outcome,) = report.outcomes
+        assert len(outcome.ok_records()) == 2
+
     def test_loads_at_most_once_unless_forced(self, fake_entry_points):
         fake_entry_points.append(
             _FakeEntryPoint("ext", _tiny_entry("Ext-Once"))

@@ -288,7 +288,10 @@ class TestIntrospection:
         ):
             assert key in telemetry
         assert telemetry["jobs"]["done"] == 1
-        latency = telemetry["backend_latency"]["object"]
+        # Keyed by the kernel tier that ran: under the default array
+        # backend this spec runs on the batched engine.
+        assert list(telemetry["backend_latency"]) == ["array-batched"]
+        latency = telemetry["backend_latency"]["array-batched"]
         assert latency["count"] == 1
         assert sum(latency["histogram"]["counts"]) == 1
 
@@ -364,7 +367,7 @@ class TestReviewHardening:
             assert resubmitted["submission"] == "cached"
             assert "result" in resubmitted
             assert telemetry["runner"]["simulated"] == 2
-            assert telemetry["backend_latency"]["object"]["count"] == 1
+            assert telemetry["backend_latency"]["array-batched"]["count"] == 1
 
     def test_evicted_result_triggers_rerun_not_null(self, tmp_path):
         """A done job whose result vanished from every tier re-runs on
