@@ -1,10 +1,12 @@
 """Shared test configuration.
 
-Adds the ``--update-golden`` flag used by tests/test_golden_results.py and
-tests/test_golden_fault_injection.py:
+Adds the ``--update-golden`` flag used by tests/test_golden_results.py,
+tests/test_golden_fault_injection.py, tests/test_golden_campaign.py and
+tests/test_golden_cache_keys.py:
 
     PYTHONPATH=src python -m pytest tests/test_golden_results.py \
-        tests/test_golden_fault_injection.py --update-golden
+        tests/test_golden_fault_injection.py tests/test_golden_campaign.py \
+        tests/test_golden_cache_keys.py --update-golden
 
 regenerates every file under tests/golden/ from the current simulator and
 skips the comparisons.  Review the resulting diff before committing — a
