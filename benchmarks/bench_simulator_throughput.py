@@ -13,7 +13,8 @@ from repro.cache.set_assoc import CacheGeometry, SetAssociativeCache
 from repro.coding.hamming import decode, encode
 from repro.core.schemes import make_cache
 from repro.cpu.pipeline import OutOfOrderPipeline
-from repro.harness.runner import Job, ParallelRunner
+from repro.harness.runner import ParallelRunner
+from repro.harness.spec import ExperimentSpec
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec2000 import profile_for
 
@@ -75,7 +76,7 @@ def test_trace_generation_throughput(benchmark):
 
 def _end_to_end_grid(backend):
     return [
-        Job(bench, scheme, dict(n_instructions=30_000, backend=backend))
+        ExperimentSpec(bench, scheme, n_instructions=30_000, backend=backend)
         for bench in ("gzip", "mcf")
         for scheme in ("BaseP", "ICR-P-PS(S)")
     ]

@@ -113,13 +113,14 @@ def bench_icr_cache(scheme: str, repeats: int) -> float:
 
 def bench_end_to_end(repeats: int, *, cold: bool, backend: str = "object") -> float:
     """Simulations per second through the jobs=1, cache-disabled runner."""
-    from repro.harness.runner import Job, ParallelRunner
+    from repro.harness.runner import ParallelRunner
+    from repro.harness.spec import ExperimentSpec
     from repro.workloads.generator import trace_for
     from repro.workloads.spec2000 import profile_for
 
     n_instructions = 30_000
     grid = [
-        Job(bench, scheme, dict(n_instructions=n_instructions, backend=backend))
+        ExperimentSpec(bench, scheme, n_instructions=n_instructions, backend=backend)
         for bench in ("gzip", "mcf")
         for scheme in ("BaseP", "ICR-P-PS(S)")
     ]
@@ -141,24 +142,23 @@ def bench_end_to_end(repeats: int, *, cold: bool, backend: str = "object") -> fl
 
 def bench_fault_trial(repeats: int, backend: str) -> float:
     """Fault-injected Fig. 14 trials per second through the same runner."""
-    from repro.harness.runner import Job, ParallelRunner
+    from repro.harness.runner import ParallelRunner
+    from repro.harness.spec import ExperimentSpec
     from repro.workloads.generator import trace_for
     from repro.workloads.spec2000 import profile_for
 
     n_instructions = 20_000
-    job = Job(
+    spec = ExperimentSpec(
         "gzip",
         "ICR-P-PS(S)",
-        dict(
-            n_instructions=n_instructions,
-            error_rate=1e-2,
-            error_seed=2024,
-            backend=backend,
-        ),
+        n_instructions=n_instructions,
+        error_rate=1e-2,
+        error_seed=2024,
+        backend=backend,
     )
     trace_for(profile_for("gzip"), n_instructions)
     return 1 / _best_of(
-        lambda: ParallelRunner(jobs=1, cache=None).run([job]), repeats
+        lambda: ParallelRunner(jobs=1, cache=None).run([spec]), repeats
     )
 
 

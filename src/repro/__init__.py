@@ -39,7 +39,6 @@ from repro.harness import (
     SimulationResult,
     normalized_cycles,
     run_experiment,
-    run_schemes,
 )
 from repro.workloads import BENCHMARKS, PROFILES, WorkloadProfile
 
@@ -61,7 +60,6 @@ __all__ = [
     "SimulationResult",
     "normalized_cycles",
     "run_experiment",
-    "run_schemes",
     "BENCHMARKS",
     "PROFILES",
     "WorkloadProfile",

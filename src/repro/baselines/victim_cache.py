@@ -21,6 +21,7 @@ from typing import Optional
 
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.cache.set_assoc import CacheGeometry
+from repro.core.protocol import DL1Outcome
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.workloads.generator import trace_for
 from repro.workloads.spec2000 import profile_for
@@ -124,8 +125,6 @@ class VictimCacheDL1:
         self.victim_cache.insert(eviction.block_addr, eviction.dirty)
 
     def access(self, addr: int, is_write: bool, now: int):
-        from repro.cache.hierarchy import DL1Outcome
-
         outcome = self._dl1.access(addr, is_write, now)
         if outcome.hit or outcome.latency is not None:
             return outcome

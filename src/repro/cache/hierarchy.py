@@ -24,9 +24,8 @@ from repro.cache.stats import HierarchyStats
 from repro.cache.write_buffer import CoalescingWriteBuffer
 
 # The dL1 plugin protocol lives in repro.core.protocol (the documented
-# surface external scheme packages implement); DL1Outcome and DataL1
-# are re-exported here for the hierarchy's historical importers.
-from repro.core.protocol import DataL1, DL1Outcome
+# surface external scheme packages implement).
+from repro.core.protocol import DataL1
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from repro.errors.models import MODELS
 from repro.harness.cache import ResultCache
 from repro.harness.figures import AGGRESSIVE, ALL_FIGURES, RELAXED, run_figure
 from repro.harness.report import format_table, percent
-from repro.harness.runner import Job, ParallelRunner
+from repro.harness.runner import ParallelRunner
 from repro.harness.spec import ExperimentSpec
 from repro.workloads.spec2000 import BENCHMARKS
 
@@ -452,14 +452,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     knobs = RELAXED if args.relaxed else AGGRESSIVE
     runner = _make_runner(args)
     grid = [
-        Job(
+        ExperimentSpec(
             args.benchmark,
             scheme,
-            dict(
-                n_instructions=args.instructions,
-                backend=args.backend,
-                **(knobs if scheme_info(scheme).accepts_icr_knobs else {}),
-            ),
+            n_instructions=args.instructions,
+            backend=args.backend,
+            scheme_kwargs=knobs if scheme_info(scheme).accepts_icr_knobs else {},
         )
         for scheme in ALL_SCHEMES
     ]

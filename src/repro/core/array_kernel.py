@@ -10,7 +10,7 @@ semantics in struct-of-arrays form and a batched execution mode:
   dirty, replica flag, LRU stamp, last-access cycle, protection code and
   the replica map (``primary_frame`` per replica plus per-primary replica
   frame lists).  It implements the hierarchy's ``DataL1`` protocol
-  (``access`` returns a :class:`~repro.cache.hierarchy.DL1Outcome`), so
+  (``access`` returns a :class:`~repro.core.protocol.DL1Outcome`), so
   it is a drop-in replacement for :class:`ICRCache` under the unchanged
   :class:`~repro.cache.hierarchy.MemoryHierarchy`; ``access_code``
   returns a small outcome *code* instead, which is what the batched

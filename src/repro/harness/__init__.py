@@ -4,7 +4,6 @@ from repro.harness.cache import (
     ResultCache,
     UncacheableJobError,
     code_version,
-    job_key,
     result_from_dict,
     result_to_dict,
 )
@@ -19,7 +18,6 @@ from repro.harness.experiment import (
     SimulationResult,
     normalized_cycles,
     run_experiment,
-    run_schemes,
 )
 from repro.harness.figures import (
     AGGRESSIVE,
@@ -31,7 +29,6 @@ from repro.harness.figures import (
 )
 from repro.harness.report import format_table, percent, relative
 from repro.harness.runner import (
-    Job,
     ParallelRunner,
     RunnerError,
     RunnerSession,
@@ -66,7 +63,6 @@ __all__ = [
     "SimulationResult",
     "normalized_cycles",
     "run_experiment",
-    "run_schemes",
     "ALL_FIGURES",
     "AGGRESSIVE",
     "RELAXED",
@@ -81,7 +77,6 @@ __all__ = [
     "replication_factor_sweep",
     "scheme_sweep",
     "sweep",
-    "Job",
     "ParallelRunner",
     "RunnerError",
     "RunnerSession",
@@ -90,7 +85,6 @@ __all__ = [
     "ResultCache",
     "UncacheableJobError",
     "code_version",
-    "job_key",
     "result_from_dict",
     "result_to_dict",
 ]

@@ -1,8 +1,9 @@
 """Content-addressed, on-disk cache for experiment results.
 
 Re-running a figure or sweep with one changed configuration should only
-simulate the delta.  To make that safe, a cached result is keyed by a
-stable hash over *everything the simulation depends on*:
+simulate the delta.  To make that safe, a cached result is keyed by
+:meth:`~repro.harness.spec.ExperimentSpec.key`, a stable hash over
+*everything the simulation depends on*:
 
 * the resolved :class:`~repro.workloads.generator.WorkloadProfile`
   (benchmark names are resolved to their full parameter set, so editing
@@ -10,9 +11,9 @@ stable hash over *everything the simulation depends on*:
 * the scheme — name plus every scheme kwarg, or a prebuilt
   :class:`~repro.core.config.ICRConfig` field-by-field;
 * the run parameters (``n_instructions``, machine, error rate / model /
-  seed, scrub period, trace seed, warm-up, iL1 error rate), with
-  omitted arguments normalized to :func:`run_experiment`'s defaults so
-  an explicit default and an omitted one share a key;
+  seed, scrub period, trace seed, warm-up, iL1 error rate, backend),
+  read from the spec's fields, so an explicit default and an omitted
+  one share a key (an omitted machine counts as ``MachineConfig()``);
 * a digest of the ``repro`` package source (the *code version*), so any
   edit to the simulator invalidates the whole cache.
 
@@ -41,14 +42,7 @@ from typing import Any, Optional, Union
 
 from repro import recovery
 from repro.chaos import runtime as _chaos
-
-from repro.core.config import ICRConfig
-from repro.core.registry import normalize_scheme_name
 from repro.harness.experiment import SimulationResult
-from repro.harness.spec import RUN_DEFAULTS as _RUN_DEFAULTS
-from repro.harness.spec import MachineConfig
-from repro.workloads.generator import WorkloadProfile
-from repro.workloads.spec2000 import profile_for
 
 #: Bumped whenever the on-disk entry format changes.
 CACHE_FORMAT = 1
@@ -121,36 +115,6 @@ def _canonical(value: Any) -> Any:
             out[k] = _canonical(value[k])
         return out
     raise UncacheableJobError(f"cannot canonicalize {type(value).__name__}")
-
-
-def job_key(
-    benchmark: Union[str, WorkloadProfile],
-    scheme: Union[str, ICRConfig],
-    kwargs: Optional[dict] = None,
-) -> str:
-    """Stable content hash for one :func:`run_experiment` invocation.
-
-    Raises :class:`UncacheableJobError` when any parameter has no
-    stable representation.
-    """
-    profile = profile_for(benchmark) if isinstance(benchmark, str) else benchmark
-    if isinstance(scheme, str):
-        # Canonical spelling via the registry: every accepted spelling of
-        # a scheme shares one cache identity (matches ExperimentSpec).
-        scheme = normalize_scheme_name(scheme)
-    merged = dict(_RUN_DEFAULTS)
-    merged.update(kwargs or {})
-    if merged["machine"] is None:
-        merged["machine"] = MachineConfig()
-    payload = {
-        "format": CACHE_FORMAT,
-        "code": code_version(),
-        "profile": _canonical(profile),
-        "scheme": _canonical(scheme),
-        "kwargs": _canonical(merged),
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +359,10 @@ class ResultCache:
         if not self.enabled:
             return
         path = self.path_for(key)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             _chaos.check_disk_full("cache", key)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
             tmp.write_text(json.dumps(result_to_dict(result)))
             os.replace(tmp, path)
         except OSError:
@@ -406,6 +370,10 @@ class ResultCache:
             # result is simply not persisted this time.
             recovery.count("cache_write_errors")
             recovery.warn("cache", f"dropped write for {key[:12]}… (disk error)")
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
             return
         _chaos.damage_cache_entry(key, path)
         self.stores += 1
@@ -435,7 +403,7 @@ class ReadThroughCache:
     *read-through* contract); :meth:`put` writes through to disk, so a
     restart loses only latency, never results.
 
-    Keys are the content hashes of :func:`job_key` (hex), sharded by
+    Keys are the content hashes of :meth:`ExperimentSpec.key` (hex), sharded by
     their leading digits: concurrent readers of different keys contend
     on different locks, and the eviction clock is per shard, so one
     scan-heavy client cannot flush another shard's hot entries.

@@ -90,7 +90,7 @@ from repro.chaos import runtime as _chaos
 from repro.core.registry import normalize_scheme_name, scheme_info
 from repro.harness.cache import FileLease
 from repro.harness.report import format_table
-from repro.harness.runner import Job, ParallelRunner, RunnerError
+from repro.harness.runner import ParallelRunner, RunnerError
 from repro.harness.spec import ExperimentSpec, MachineConfig
 from repro.harness.stats import BootstrapCI, bootstrap_ci
 
@@ -946,9 +946,7 @@ class CampaignEngine:
 
     def _submit(self, session, cs, index, attempt, kind):
         spec = self.config.trial_spec(cs.cell, index, attempt)
-        handle = session.submit(
-            Job.from_spec(spec), tag=(cs.cell, index, attempt, kind)
-        )
+        handle = session.submit(spec, tag=(cs.cell, index, attempt, kind))
         self._submit_times[handle] = time.monotonic()
         self.events.append(("submit", cs.cell.id, index, attempt, kind))
         if kind == "helper":
@@ -1300,6 +1298,7 @@ class CampaignEngine:
             },
         }
         path = self.checkpoint_path
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             _chaos.check_disk_full("checkpoint", str(path))
@@ -1308,7 +1307,6 @@ class CampaignEngine:
                 # A writer crash persisted half the payload: the resume
                 # path's quarantine (below) must absorb it.
                 text = text[: len(text) // 2]
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
             tmp.write_text(text)
             os.replace(tmp, path)
         except OSError:
@@ -1319,6 +1317,10 @@ class CampaignEngine:
             recovery.warn(
                 "campaign", f"checkpoint write to {path} failed; continuing"
             )
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
             self._last_checkpoint = time.monotonic()
             return
         self.checkpoint_writes += 1

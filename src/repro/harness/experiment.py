@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core import array_kernel
@@ -30,12 +30,8 @@ from repro.cpu.branch import PredictorStats
 from repro.cpu.pipeline import OutOfOrderPipeline, PipelineResult
 from repro.energy.accounting import EnergyBreakdown, EnergyParams, energy_of
 from repro.errors.injector import FaultInjector, derive_stream_seed
-from repro.harness.spec import (
-    DEFAULT_INSTRUCTIONS,
-    ExperimentSpec,
-    MachineConfig,
-)
-from repro.workloads.generator import WorkloadProfile, trace_for
+from repro.harness.spec import ExperimentSpec, MachineConfig
+from repro.workloads.generator import trace_for
 from repro.workloads.spec2000 import profile_for
 
 #: Version tag of the plain-data form of :class:`SimulationResult`
@@ -299,29 +295,6 @@ def _run_spec(spec: ExperimentSpec) -> SimulationResult:
             else None
         ),
     )
-
-
-def run_schemes(
-    benchmark: Union[str, WorkloadProfile],
-    schemes: list,
-    *,
-    n_instructions: int = DEFAULT_INSTRUCTIONS,
-    machine: Optional[MachineConfig] = None,
-    **scheme_kwargs,
-) -> dict[str, SimulationResult]:
-    """Run several schemes on the same benchmark trace (paired comparison)."""
-    results = {}
-    for scheme in schemes:
-        spec = ExperimentSpec.from_kwargs(
-            benchmark,
-            scheme,
-            n_instructions=n_instructions,
-            machine=machine,
-            **scheme_kwargs,
-        )
-        result = _run_spec(spec)
-        results[result.scheme] = result
-    return results
 
 
 def normalized_cycles(

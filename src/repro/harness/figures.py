@@ -22,13 +22,10 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.config import VictimPolicy
 from repro.core.schemes import ALL_SCHEMES
-from repro.harness.experiment import (
-    DEFAULT_INSTRUCTIONS,
-    run_experiment,
-)
+from repro.harness.experiment import run_experiment
 from repro.harness.report import format_table
-from repro.harness.runner import Job, ParallelRunner
-from repro.harness.spec import ExperimentSpec
+from repro.harness.runner import ParallelRunner, _cache_key
+from repro.harness.spec import DEFAULT_INSTRUCTIONS, ExperimentSpec
 from repro.workloads.spec2000 import BENCHMARKS
 
 #: Shared kwargs for the two standard configurations.
@@ -113,8 +110,9 @@ _CONTEXT = None
 def execution_context(engine):
     """Route every ``_run`` call inside the block through *engine*.
 
-    *engine* is anything with a ``run_one(benchmark, scheme, **kwargs)``
-    method — normally a :class:`~repro.harness.runner.ParallelRunner`.
+    *engine* is anything with a ``run_one(spec)`` method taking an
+    :class:`~repro.harness.spec.ExperimentSpec` — normally a
+    :class:`~repro.harness.runner.ParallelRunner`.
     Contexts nest; the previous engine is restored on exit.
     """
     global _CONTEXT
@@ -127,11 +125,10 @@ def execution_context(engine):
 
 
 def _run(bench, scheme, n, **kwargs):
+    spec = ExperimentSpec.from_kwargs(bench, scheme, n_instructions=n, **kwargs)
     if _CONTEXT is not None:
-        return _CONTEXT.run_one(bench, scheme, n_instructions=n, **kwargs)
-    return run_experiment(
-        ExperimentSpec.from_kwargs(bench, scheme, n_instructions=n, **kwargs)
-    )
+        return _CONTEXT.run_one(spec)
+    return run_experiment(spec)
 
 
 class _Probe(float):
@@ -153,23 +150,22 @@ class _Probe(float):
 
 
 class _JobCollector:
-    """Execution engine that records jobs instead of running them.
+    """Execution engine that records specs instead of running them.
 
-    Uncacheable jobs (no stable key) are skipped: their results could
+    Uncacheable specs (no stable key) are skipped: their results could
     not be recovered from the cache during the replay pass, so they run
     exactly once, serially, during replay.
     """
 
     def __init__(self):
-        self.jobs: list[Job] = []
+        self.specs: list[ExperimentSpec] = []
         self._seen: set[str] = set()
 
-    def run_one(self, benchmark, scheme, **kwargs):
-        job = Job(benchmark, scheme, kwargs)
-        key = job.key()
+    def run_one(self, spec: ExperimentSpec):
+        key = _cache_key(spec)
         if key is not None and key not in self._seen:
             self._seen.add(key)
-            self.jobs.append(job)
+            self.specs.append(spec)
         return _Probe()
 
 
@@ -179,19 +175,19 @@ class _ReplayEngine:
     The batch pass already accounted for every cacheable job in the
     runner's stats; replaying through ``runner.run_one`` would double
     the job and hit counters.  Anything not in the memo (uncacheable
-    jobs) falls through to the runner and is counted normally.
+    specs) falls through to the runner and is counted normally.
     """
 
     def __init__(self, runner: ParallelRunner):
         self.runner = runner
 
-    def run_one(self, benchmark, scheme, **kwargs):
-        key = Job(benchmark, scheme, kwargs).key()
+    def run_one(self, spec: ExperimentSpec):
+        key = _cache_key(spec)
         if key is not None:
             hit = self.runner._memo.get(key)
             if hit is not None:
                 return hit
-        return self.runner.run_one(benchmark, scheme, **kwargs)
+        return self.runner.run_one(spec)
 
 
 def prefetched(figure_id: str, runner: ParallelRunner, **kwargs):
@@ -209,7 +205,7 @@ def prefetched(figure_id: str, runner: ParallelRunner, **kwargs):
     collector = _JobCollector()
     with execution_context(collector):
         ALL_FIGURES[figure_id](**kwargs)
-    runner.run(collector.jobs)
+    runner.run(collector.specs)
     return _ReplayEngine(runner)
 
 

@@ -2,15 +2,17 @@
 
 :class:`ParallelRunner` is the one execution engine behind the sweep
 utilities, the figure functions, the campaign engine, the service and
-the CLI.  It consults the content-addressed result cache
-(:mod:`repro.harness.cache`) before simulating anything and fans
-independent ``(benchmark, scheme, kwargs)`` jobs out over a
-``multiprocessing`` worker pool.
+the CLI.  Its unit of work is an
+:class:`~repro.harness.spec.ExperimentSpec`: it consults the
+content-addressed result cache (:mod:`repro.harness.cache`) under the
+spec's :meth:`~repro.harness.spec.ExperimentSpec.key` before simulating
+anything and fans independent specs out over a ``multiprocessing``
+worker pool.
 
 There is one dispatch path, :class:`RunnerSession`: the batch call
 :meth:`ParallelRunner.run` is a loop over a session, and the campaign
 engine and the service drive sessions directly.  Only
-:meth:`ParallelRunner.run_one` (one job, in-process) bypasses it.
+:meth:`ParallelRunner.run_one` (one spec, in-process) bypasses it.
 
 There is one retry policy.  Every job gets one attempt, in a pool
 worker or in-process, bounded by the runner's wall-clock timeout; a
@@ -41,51 +43,22 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
 from repro import recovery
 from repro.chaos import runtime as _chaos
-from repro.core.config import ICRConfig
-from repro.harness.cache import ResultCache, UncacheableJobError, job_key
+from repro.harness.cache import ResultCache, UncacheableJobError
 from repro.harness.experiment import SimulationResult, _run_spec
 from repro.harness.spec import ExperimentSpec
-from repro.workloads.generator import WorkloadProfile
 
 
-@dataclass
-class Job:
-    """One :func:`run_experiment` invocation, ready to ship to a worker."""
-
-    benchmark: Union[str, WorkloadProfile]
-    scheme: Union[str, ICRConfig]
-    kwargs: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_spec(cls, spec: ExperimentSpec) -> "Job":
-        """A job whose cache key is the spec's content hash."""
-        return cls(spec.benchmark, spec.scheme, spec.run_kwargs())
-
-    def spec(self) -> ExperimentSpec:
-        """The :class:`ExperimentSpec` this job executes."""
-        return ExperimentSpec.from_kwargs(
-            self.benchmark, self.scheme, **self.kwargs
-        )
-
-    @property
-    def label(self) -> str:
-        bench = (
-            self.benchmark if isinstance(self.benchmark, str) else self.benchmark.name
-        )
-        scheme = self.scheme if isinstance(self.scheme, str) else self.scheme.name
-        return f"{bench}/{scheme}"
-
-    def key(self) -> Optional[str]:
-        """Cache key, or None when the job is uncacheable."""
-        try:
-            return job_key(self.benchmark, self.scheme, self.kwargs)
-        except UncacheableJobError:
-            return None
+def _cache_key(spec: ExperimentSpec) -> Optional[str]:
+    """The spec's cache key, or None when it is uncacheable."""
+    try:
+        return spec.key()
+    except UncacheableJobError:
+        return None
 
 
 class JobTimeoutError(RuntimeError):
@@ -95,9 +68,9 @@ class JobTimeoutError(RuntimeError):
 class RunnerError(RuntimeError):
     """A job failed on both its attempt and its retry."""
 
-    def __init__(self, job: Job, detail: str):
-        super().__init__(f"job {job.label} failed twice: {detail}")
-        self.job = job
+    def __init__(self, spec: ExperimentSpec, detail: str):
+        super().__init__(f"job {spec.label} failed twice: {detail}")
+        self.spec = spec
         self.detail = detail
 
 
@@ -181,11 +154,13 @@ def _frame_safe_to_raise(frame) -> bool:
     return True
 
 
-def _inject_trial_fault(job: Job, last_attempt: bool = False) -> None:
+def _inject_trial_fault(
+    spec: ExperimentSpec, last_attempt: bool = False
+) -> None:
     """Fire the chaos fault scheduled for this trial, if any.
 
     Sits at the top of every execution attempt — pool worker, in-parent
-    retry, in-process path — keyed by the job's content hash, so the
+    retry, in-process path — keyed by the spec's content hash, so the
     fault fires on exactly one attempt anywhere in the process tree and
     the retry of the *same* spec sails through.  That placement is what
     keeps chaos beneath the runner's retry boundary: the campaign never
@@ -200,9 +175,9 @@ def _inject_trial_fault(job: Job, last_attempt: bool = False) -> None:
     """
     if last_attempt or _chaos.active() is None:
         return
-    fault = _chaos.check_trial(job.key() or job.label)
+    fault = _chaos.check_trial(_cache_key(spec) or spec.label)
     if fault == "timeout":
-        raise JobTimeoutError(f"chaos: job {job.label} forced timeout")
+        raise JobTimeoutError(f"chaos: job {spec.label} forced timeout")
     if fault == "kill":
         import multiprocessing
 
@@ -210,15 +185,14 @@ def _inject_trial_fault(job: Job, last_attempt: bool = False) -> None:
             # A real worker death: the pool observes a vanished process
             # (BrokenProcessPool), exactly like SIGKILL from outside.
             os._exit(137)
-        raise _chaos.ChaosWorkerDeath(f"chaos: worker killed for {job.label}")
+        raise _chaos.ChaosWorkerDeath(f"chaos: worker killed for {spec.label}")
 
 
 def _run_with_timeout(
-    job: Job, timeout: Optional[float], last_attempt: bool = False
+    spec: ExperimentSpec, timeout: Optional[float], last_attempt: bool = False
 ) -> SimulationResult:
-    """Execute *job*, bounded by an interval timer where the OS has one."""
-    _inject_trial_fault(job, last_attempt)
-    spec = job.spec()
+    """Execute *spec*, bounded by an interval timer where the OS has one."""
+    _inject_trial_fault(spec, last_attempt)
     if not timeout or not hasattr(signal, "SIGALRM"):
         return _run_spec(spec)
 
@@ -231,7 +205,7 @@ def _run_with_timeout(
 
     def _expired(signum, frame):
         if armed and _frame_safe_to_raise(frame):
-            raise JobTimeoutError(f"job {job.label} exceeded {timeout}s")
+            raise JobTimeoutError(f"job {spec.label} exceeded {timeout}s")
 
     previous = signal.signal(signal.SIGALRM, _expired)
     # Re-arm the timer rather than firing once: if the first SIGALRM
@@ -249,11 +223,13 @@ def _run_with_timeout(
         signal.signal(signal.SIGALRM, previous)
 
 
-def _worker(payload: tuple[Job, Optional[float]]) -> tuple[str, object]:
+def _worker(
+    payload: tuple[ExperimentSpec, Optional[float]]
+) -> tuple[str, object]:
     """Pool entry point: never raises, always returns a tagged outcome."""
-    job, timeout = payload
+    spec, timeout = payload
     try:
-        return "ok", _run_with_timeout(job, timeout)
+        return "ok", _run_with_timeout(spec, timeout)
     except JobTimeoutError as exc:
         return "timeout", str(exc)
     except Exception:
@@ -261,7 +237,7 @@ def _worker(payload: tuple[Job, Optional[float]]) -> tuple[str, object]:
 
 
 class ParallelRunner:
-    """Cache-aware executor for experiment jobs.
+    """Cache-aware executor for :class:`ExperimentSpec` jobs.
 
     Parameters
     ----------
@@ -301,27 +277,17 @@ class ParallelRunner:
 
     # -- single-job path (also the figures execution context) ------------
 
-    def run_one(self, benchmark, scheme=None, **kwargs) -> SimulationResult:
-        """Run one experiment in-process, through memo and disk cache.
-
-        Accepts either an :class:`ExperimentSpec` as the sole argument
-        or the legacy ``(benchmark, scheme, **kwargs)`` form.
-        """
-        if isinstance(benchmark, ExperimentSpec):
-            if scheme is not None or kwargs:
-                raise TypeError("run_one(spec) takes no further arguments")
-            job = Job.from_spec(benchmark)
-        else:
-            job = Job(benchmark, scheme, kwargs)
+    def run_one(self, spec: ExperimentSpec) -> SimulationResult:
+        """Run one experiment in-process, through memo and disk cache."""
         self.stats.jobs += 1
         started = time.monotonic()
         try:
-            key = job.key()
+            key = _cache_key(spec)
             if key is None:
                 self.stats.uncacheable += 1
             result = self._lookup(key)
             if result is None:
-                result = self._execute(job, key)
+                result = self._execute(spec, key)
         finally:
             self.stats.elapsed += time.monotonic() - started
         self.stats.completed += 1
@@ -329,23 +295,23 @@ class ParallelRunner:
 
     # -- batch path -------------------------------------------------------
 
-    def run(self, jobs: Sequence[Job]) -> list[SimulationResult]:
-        """Run a batch of jobs through one :meth:`session`, in input order.
+    def run(self, specs: Sequence[ExperimentSpec]) -> list[SimulationResult]:
+        """Run a batch of specs through one :meth:`session`, in input order.
 
-        Identical jobs in the batch are simulated once; the copies are
+        Identical specs in the batch are simulated once; the copies are
         filled afterwards and count as cache hits.  The session gets
-        ``min(jobs, distinct jobs)`` workers, so a lone job runs
-        in-process.  Every job runs to completion; then the first job
+        ``min(jobs, distinct specs)`` workers, so a lone spec runs
+        in-process.  Every spec runs to completion; then the first one
         (in input order) that failed its attempt and its retry raises
         its :class:`RunnerError`.
         """
-        jobs = list(jobs)
-        results: list = [None] * len(jobs)
-        runs: dict[str, int] = {}  # key -> index of the job that runs it
+        specs = list(specs)
+        results: list = [None] * len(specs)
+        runs: dict[str, int] = {}  # key -> index of the spec that runs it
         unique: list[int] = []
         duplicates: list[tuple[int, int]] = []
-        for index, job in enumerate(jobs):
-            key = job.key()
+        for index, spec in enumerate(specs):
+            key = _cache_key(spec)
             if key in runs:
                 duplicates.append((index, runs[key]))
                 continue
@@ -356,7 +322,7 @@ class ParallelRunner:
         try:
             with self.session(workers=min(self.jobs, len(unique))) as session:
                 for index in unique:
-                    session.submit(jobs[index], tag=index)
+                    session.submit(specs[index], tag=index)
                 while (handle := session.next_completed()) is not None:
                     results[handle.tag] = handle.result
                     self._tick()
@@ -371,19 +337,6 @@ class ParallelRunner:
         finally:
             self._finish_progress()
         return results
-
-    def run_grid(
-        self,
-        benchmarks: Sequence[Union[str, WorkloadProfile]],
-        schemes: Sequence[Union[str, ICRConfig]],
-        **kwargs,
-    ) -> dict[tuple[str, str], SimulationResult]:
-        """Convenience: the full benchmark × scheme product, keyed by label."""
-        grid = [Job(b, s, dict(kwargs)) for b in benchmarks for s in schemes]
-        results = self.run(grid)
-        return {
-            (r.benchmark, r.scheme): r for r in results
-        }
 
     # -- internals --------------------------------------------------------
 
@@ -406,9 +359,9 @@ class ParallelRunner:
                 self.cache.put(key, result)
 
     def _execute(
-        self, job: Job, key: Optional[str], failed: Optional[str] = None
+        self, spec: ExperimentSpec, key: Optional[str], failed: Optional[str] = None
     ) -> SimulationResult:
-        """Run *job* in this process under the one retry policy.
+        """Run *spec* in this process under the one retry policy.
 
         One attempt, then one retry; only the retry is the chaos hook's
         ``last_attempt``.  *failed* is the error of an attempt a pool
@@ -417,17 +370,17 @@ class ParallelRunner:
         """
         if failed is None:
             try:
-                result = _run_with_timeout(job, self.timeout)
+                result = _run_with_timeout(spec, self.timeout)
             except Exception:
                 failed = traceback.format_exc()
         if failed is not None:
             self.stats.retries += 1
             try:
-                result = _run_with_timeout(job, self.timeout, last_attempt=True)
+                result = _run_with_timeout(spec, self.timeout, last_attempt=True)
             except Exception:
                 self.stats.failures += 1
                 raise RunnerError(
-                    job, f"attempt: {failed}\nretry: {traceback.format_exc()}"
+                    spec, f"attempt: {failed}\nretry: {traceback.format_exc()}"
                 ) from None
         self.stats.simulated += 1
         self._store(key, result)
@@ -466,23 +419,23 @@ class ParallelRunner:
 
 
 class TrialHandle:
-    """One submitted job inside a :class:`RunnerSession`.
+    """One submitted spec inside a :class:`RunnerSession`.
 
     ``result`` is a :class:`SimulationResult` on success or a
     :class:`RunnerError` when the job failed its attempt *and* its
     retry; it is only meaningful once ``done`` is true.  ``tag`` is an
     opaque caller payload carried through untouched (the campaign
     engine stores its (cell, index, attempt) bookkeeping there,
-    :meth:`ParallelRunner.run` the job's batch index).
+    :meth:`ParallelRunner.run` the spec's batch index).
     """
 
     __slots__ = (
-        "job", "key", "tag", "done", "result",
+        "spec", "key", "tag", "done", "result",
         "cached", "cancelled", "_future",
     )
 
-    def __init__(self, job: Job, key: Optional[str], tag: Any = None):
-        self.job = job
+    def __init__(self, spec: ExperimentSpec, key: Optional[str], tag: Any = None):
+        self.spec = spec
         self.key = key
         self.tag = tag
         self.done = False
@@ -546,17 +499,21 @@ class RunnerSession:
 
     # -- submission -------------------------------------------------------
 
-    def submit(self, job: Job, tag: Any = None) -> TrialHandle:
-        """Queue *job* for execution; returns immediately.
+    def submit(self, spec: ExperimentSpec, tag: Any = None) -> TrialHandle:
+        """Queue *spec* for execution; returns immediately.
 
         A memo/disk-cache hit completes the handle on the spot (``done``
         and ``cached`` both true) — it still flows through
         :meth:`next_completed` so callers can use one harvest loop.
+
+        Sessions are not thread-safe: the service confines its
+        long-lived session to one execution thread and hands results
+        off through its own queue.
         """
         if self._closed:
             raise RuntimeError("session is closed")
-        key = job.key()
-        handle = TrialHandle(job, key, tag)
+        key = _cache_key(spec)
+        handle = TrialHandle(spec, key, tag)
         self.runner.stats.jobs += 1
         cached = self.runner._lookup(key)
         if cached is not None:
@@ -565,7 +522,7 @@ class RunnerSession:
             return handle
         if key is None:
             self.runner.stats.uncacheable += 1
-        future = self._pool_submit(job) if self.workers > 1 else None
+        future = self._pool_submit(spec) if self.workers > 1 else None
         if future is None:
             self._queue.append(handle)
         else:
@@ -573,9 +530,9 @@ class RunnerSession:
             self._futures[future] = handle
         return handle
 
-    def _pool_submit(self, job: Job):
-        """Hand *job* to the pool; None once no pool can start."""
-        payload = (job, self.runner.timeout)
+    def _pool_submit(self, spec: ExperimentSpec):
+        """Hand *spec* to the pool; None once no pool can start."""
+        payload = (spec, self.runner.timeout)
         if self._pool is not None:
             try:
                 return self._pool.submit(_worker, payload)
@@ -606,17 +563,8 @@ class RunnerSession:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def submit_spec(self, spec: ExperimentSpec, tag: Any = None) -> TrialHandle:
-        """:meth:`submit` for an :class:`ExperimentSpec`.
-
-        The convenience entry point of callers that live entirely in
-        spec vocabulary — the simulation service feeds its job queue
-        through here, one long-lived session per server process, from a
-        dedicated execution thread (the session API is not thread-safe;
-        confine each session to one thread and hand results off through
-        your own queue).
-        """
-        return self.submit(Job.from_spec(spec), tag)
+    #: Older name of :meth:`submit`.
+    submit_spec = submit
 
     def cancel(self, handle: TrialHandle) -> bool:
         """Revoke *handle* if its job has not started; True on success.
@@ -696,7 +644,7 @@ class RunnerSession:
         """Finish *handle* in this process: its attempt or, after a
         failed pool attempt (*failed*), its retry."""
         try:
-            result = self.runner._execute(handle.job, handle.key, failed)
+            result = self.runner._execute(handle.spec, handle.key, failed)
         except RunnerError as error:
             result = error
         return self._finish(handle, result)

@@ -11,9 +11,10 @@ replaces that sprawl with a single frozen dataclass:
 * free-form scheme kwargs (``decay_window``, ``victim_policy``, ...) are
   normalized into a sorted tuple of ``(name, value)`` pairs, making two
   specs that mean the same run compare (and hash) equal;
-* :meth:`ExperimentSpec.key` is the content-addressed cache key — the
-  same key the :class:`~repro.harness.runner.ParallelRunner` uses — so
-  campaign trials, sweeps and ad-hoc runs all share one cache identity;
+* :meth:`ExperimentSpec.key` is the content-addressed cache key, the
+  one the :class:`~repro.harness.runner.ParallelRunner` looks results up
+  by, so campaign trials, sweeps and ad-hoc runs all share one cache
+  identity;
 * :meth:`ExperimentSpec.replace` derives variants (a new ``error_seed``
   per Monte Carlo trial, a new ``trace_seed`` per statistics run)
   without mutating anything.
@@ -27,7 +28,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
 import importlib
+import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
@@ -37,6 +40,7 @@ from repro.core.config import ICRConfig
 from repro.core.registry import normalize_scheme_name
 from repro.cpu.pipeline import PipelineConfig
 from repro.workloads.generator import WorkloadProfile
+from repro.workloads.spec2000 import profile_for
 
 #: Default trace length.  The paper runs 500M instructions on SimpleScalar;
 #: a pure-Python model uses shorter traces, long past dL1 warm-up (the
@@ -170,24 +174,38 @@ class ExperimentSpec:
     def label(self) -> str:
         return f"{self.benchmark_name}/{self.scheme_name}"
 
-    def run_kwargs(self) -> dict[str, Any]:
-        """The keyword dict equivalent of this spec (scheme kwargs splatted).
+    def key(self) -> str:
+        """Content-addressed cache key (see :mod:`repro.harness.cache`).
 
-        ``ExperimentSpec.from_kwargs(spec.benchmark, spec.scheme,
-        **spec.run_kwargs()) == spec`` for every spec, which is what keeps
-        the spec path and the legacy keyword path cache-key identical.
+        The hash covers the resolved workload profile, the scheme and
+        every run field with the scheme kwargs flattened in, an omitted
+        machine read as ``MachineConfig()``, plus the format and code
+        versions.  Raises
+        :class:`~repro.harness.cache.UncacheableJobError` when a value
+        has no stable representation.
         """
-        out: dict[str, Any] = {
+        from repro.harness import cache
+
+        profile = (
+            profile_for(self.benchmark)
+            if isinstance(self.benchmark, str)
+            else self.benchmark
+        )
+        run: dict[str, Any] = {
             name: getattr(self, name) for name in _SPEC_FIELDS
         }
-        out.update(dict(self.scheme_kwargs))
-        return out
-
-    def key(self) -> str:
-        """Content-addressed cache key (see :mod:`repro.harness.cache`)."""
-        from repro.harness.cache import job_key
-
-        return job_key(self.benchmark, self.scheme, self.run_kwargs())
+        run.update(self.scheme_kwargs)
+        if run["machine"] is None:
+            run["machine"] = MachineConfig()
+        payload = {
+            "format": cache.CACHE_FORMAT,
+            "code": cache.code_version(),
+            "profile": cache._canonical(profile),
+            "scheme": cache._canonical(self.scheme),
+            "kwargs": cache._canonical(run),
+        }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
     # -- wire form ---------------------------------------------------------
 
@@ -338,16 +356,9 @@ def _machine_from_dict(data: Mapping[str, Any]) -> MachineConfig:
 
 
 #: Run-parameter fields of the spec (everything except the identity pair
-#: and the free-form scheme kwargs).  Also the single source of truth for
-#: the keyword defaults the cache normalizes omitted arguments against.
+#: and the free-form scheme kwargs).
 _SPEC_FIELDS: tuple[str, ...] = tuple(
     f.name
     for f in dataclasses.fields(ExperimentSpec)
     if f.name not in ("benchmark", "scheme", "scheme_kwargs")
 )
-
-RUN_DEFAULTS: dict[str, Any] = {
-    f.name: f.default
-    for f in dataclasses.fields(ExperimentSpec)
-    if f.name in _SPEC_FIELDS
-}

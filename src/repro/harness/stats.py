@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.harness.experiment import DEFAULT_INSTRUCTIONS, _run_spec
-from repro.harness.spec import ExperimentSpec
+from repro.harness.experiment import _run_spec
+from repro.harness.spec import DEFAULT_INSTRUCTIONS, ExperimentSpec
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 from repro.core.registry import normalize_scheme_name
 from repro.harness.experiment import SimulationResult
 from repro.harness.report import format_table
-from repro.harness.runner import Job, ParallelRunner
+from repro.harness.runner import ParallelRunner
 from repro.harness.spec import DEFAULT_INSTRUCTIONS, ExperimentSpec, MachineConfig
 
 
@@ -77,7 +77,7 @@ def sweep(
     engine = _resolve_runner(runner, jobs)
     points = list(points)
     out = SweepResult(parameter=parameter)
-    grid: list[tuple[tuple[str, str], Job]] = []
+    grid: list[tuple[tuple[str, str], ExperimentSpec]] = []
     for bench in benchmarks:
         for label, kwargs in points:
             merged: dict[str, Any] = dict(base_kwargs or {})
@@ -89,8 +89,8 @@ def sweep(
                 machine=machine,
                 **merged,
             )
-            grid.append(((bench, str(label)), Job.from_spec(spec)))
-    for (key, _), result in zip(grid, engine.run([job for _, job in grid])):
+            grid.append(((bench, str(label)), spec))
+    for (key, _), result in zip(grid, engine.run([spec for _, spec in grid])):
         out.results[key] = result
     return out
 
@@ -149,7 +149,7 @@ def scheme_sweep(
     """Run a set of schemes; sweep point label = scheme name."""
     engine = _resolve_runner(runner, jobs)
     out = SweepResult(parameter="scheme")
-    grid: list[tuple[tuple[str, str], Job]] = []
+    grid: list[tuple[tuple[str, str], ExperimentSpec]] = []
     # Canonicalize up front: the per-scheme kwargs callback and the
     # result keys both see registry spellings, whatever the caller wrote.
     schemes = [normalize_scheme_name(s) for s in schemes]
@@ -163,7 +163,7 @@ def scheme_sweep(
                 **extra,
                 **kwargs,
             )
-            grid.append(((bench, scheme), Job.from_spec(spec)))
-    for (key, _), result in zip(grid, engine.run([job for _, job in grid])):
+            grid.append(((bench, scheme), spec))
+    for (key, _), result in zip(grid, engine.run([spec for _, spec in grid])):
         out.results[key] = result
     return out

@@ -394,7 +394,7 @@ class SimulationService:
                 elif item is not None:
                     job_id, spec = item
                     self._post(self._mark_running, job_id)
-                    session.submit_spec(spec, tag=job_id)
+                    session.submit(spec, tag=job_id)
                 while session.outstanding():
                     handle = session.next_completed(timeout=0.05)
                     if handle is None:

@@ -432,13 +432,17 @@ def _load_persisted(path: Path) -> Optional[Trace]:
 def _persist(trace: Trace, path: Path) -> None:
     from repro.workloads.trace_io import save_trace
 
+    tmp = path.with_suffix(f".tmp.{os.getpid()}")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         save_trace(trace, tmp)
         os.replace(tmp, path)
     except OSError:
-        return  # a read-only or full cache dir never fails the run
+        # A read-only or full cache dir never fails the run.
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
 
 
 @lru_cache(maxsize=64)

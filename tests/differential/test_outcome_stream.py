@@ -2,7 +2,7 @@
 
 The matrix tests compare end-of-run aggregates; these drive both dL1
 implementations through the same access stream and compare every
-:class:`~repro.cache.hierarchy.DL1Outcome` as it happens, plus the
+:class:`~repro.core.protocol.DL1Outcome` as it happens, plus the
 eviction callback streams and the final counter state.  A transposition
 that cancels out in the totals is caught here.
 """

@@ -9,12 +9,11 @@ from repro.harness.cache import (
     ResultCache,
     UncacheableJobError,
     code_version,
-    job_key,
     result_from_dict,
     result_to_dict,
 )
 from repro.harness.experiment import MachineConfig, run_experiment
-from repro.harness.runner import Job, ParallelRunner
+from repro.harness.runner import ParallelRunner
 from repro.harness.spec import ExperimentSpec
 from repro.workloads.spec2000 import profile_for
 
@@ -66,12 +65,13 @@ class TestResultRoundTrip:
             result_from_dict(data)
 
 
-class TestJobKey:
-    BASE = ("gzip", "ICR-P-PS(S)", {"n_instructions": N})
+def _key(benchmark="gzip", scheme="ICR-P-PS(S)", **kwargs):
+    kwargs.setdefault("n_instructions", N)
+    return ExperimentSpec.from_kwargs(benchmark, scheme, **kwargs).key()
 
-    def _key(self, benchmark="gzip", scheme="ICR-P-PS(S)", **kwargs):
-        kwargs.setdefault("n_instructions", N)
-        return job_key(benchmark, scheme, kwargs)
+
+class TestSpecKey:
+    _key = staticmethod(_key)
 
     def test_stable_across_calls(self):
         assert self._key() == self._key()
@@ -100,8 +100,8 @@ class TestJobKey:
         )
 
     def test_explicit_defaults_share_the_omitted_key(self):
-        # run_experiment(error_rate=0.0) and run_experiment() are the same
-        # simulation, so they must share one cache entry.
+        # A spec with error_rate=0.0 spelled out and one without it are
+        # the same simulation, so they must share one cache entry.
         explicit = self._key(
             error_rate=0.0,
             error_model="random",
@@ -114,9 +114,12 @@ class TestJobKey:
         assert self._key(machine=MachineConfig()) == self._key()
 
     def test_profile_object_matches_benchmark_name(self):
-        assert job_key(
-            profile_for("gzip"), "BaseP", {"n_instructions": N}
-        ) == job_key("gzip", "BaseP", {"n_instructions": N})
+        assert self._key(profile_for("gzip"), "BaseP") == self._key(
+            "gzip", "BaseP"
+        )
+
+    def test_alias_spelling_matches_canonical_name(self):
+        assert self._key(scheme="icr-p-ps (s)") == self._key()
 
     def test_code_version_is_a_stable_digest(self):
         version = code_version()
@@ -126,18 +129,17 @@ class TestJobKey:
 
     def test_unrepresentable_values_rejected(self):
         with pytest.raises(UncacheableJobError):
-            job_key("gzip", "BaseP", {"victim_picker": lambda b: b})
+            self._key("gzip", "BaseP", victim_picker=lambda b: b)
         with pytest.raises(UncacheableJobError):
-            job_key("gzip", "BaseP", {"weight": float("nan")})
+            self._key("gzip", "BaseP", weight=float("nan"))
 
 
 class TestResultCache:
     def test_put_get_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        result = run_experiment(
-            ExperimentSpec.from_kwargs("gzip", "BaseP", n_instructions=N)
-        )
-        key = job_key("gzip", "BaseP", {"n_instructions": N})
+        spec = ExperimentSpec("gzip", "BaseP", n_instructions=N)
+        result = run_experiment(spec)
+        key = spec.key()
         cache.put(key, result)
         assert cache.get(key) == result
         assert cache.hits == 1 and cache.stores == 1
@@ -149,22 +151,22 @@ class TestResultCache:
 
     def test_corrupted_entry_recomputes_not_crashes(self, tmp_path):
         runner = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
-        job = Job("gzip", "BaseP", dict(n_instructions=N))
-        expected = runner.run([job])[0]
+        spec = ExperimentSpec("gzip", "BaseP", n_instructions=N)
+        expected = runner.run([spec])[0]
 
         # Truncate the entry on disk, then rebuild through a new runner:
         # the corrupt file must be treated as a miss and replaced.
-        path = ResultCache(tmp_path).path_for(job.key())
+        path = ResultCache(tmp_path).path_for(spec.key())
         assert path.exists()
         path.write_text('{"format": 1, "benchmark": "gz')
 
         fresh = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
-        recomputed = fresh.run([job])[0]
+        recomputed = fresh.run([spec])[0]
         assert recomputed == expected
         assert fresh.cache.corrupt == 1
         assert fresh.stats.simulated == 1
         # The rebuilt entry is valid again.
-        assert ResultCache(tmp_path).get(job.key()) == expected
+        assert ResultCache(tmp_path).get(spec.key()) == expected
 
     def test_disabled_cache_is_a_no_op(self, tmp_path):
         cache = ResultCache(tmp_path, enabled=False)
@@ -189,16 +191,19 @@ class TestResultCache:
 class TestNoCacheBypass:
     def test_runner_without_cache_never_touches_disk(self, tmp_path):
         runner = ParallelRunner(jobs=1, cache=None)
-        runner.run([Job("gzip", "BaseP", dict(n_instructions=N))])
+        runner.run([ExperimentSpec("gzip", "BaseP", n_instructions=N)])
         assert list(tmp_path.iterdir()) == []
         assert runner.stats.simulated == 1
 
     def test_uncacheable_jobs_still_run(self, tmp_path, monkeypatch):
-        # A job with no stable key must execute normally, bypassing both
+        # A spec with no stable key must execute normally, bypassing both
         # memo and disk, and be counted in the uncacheable stat.
-        monkeypatch.setattr(Job, "key", lambda self: None)
+        def no_key(self):
+            raise UncacheableJobError("no stable key")
+
+        monkeypatch.setattr(ExperimentSpec, "key", no_key)
         runner = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
-        results = runner.run([Job("gzip", "BaseP", dict(n_instructions=N))])
+        results = runner.run([ExperimentSpec("gzip", "BaseP", n_instructions=N)])
         assert results[0].scheme == "BaseP"
         assert runner.stats.uncacheable == 1
         assert runner.stats.simulated == 1

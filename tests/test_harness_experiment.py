@@ -7,7 +7,6 @@ from repro.harness.experiment import (
     MachineConfig,
     normalized_cycles,
     run_experiment,
-    run_schemes,
 )
 from repro.harness.spec import ExperimentSpec
 from repro.workloads.spec2000 import profile_for
@@ -87,15 +86,14 @@ class TestRunExperiment:
         assert costly.cycles == cheap.cycles  # energy model is offline
 
 
-class TestRunSchemes:
-    def test_runs_all_requested(self):
-        results = run_schemes("gzip", ["BaseP", "BaseECC"], n_instructions=5_000)
-        assert set(results) == {"BaseP", "BaseECC"}
-
+class TestNormalizedCycles:
     def test_normalized_cycles(self):
-        results = run_schemes(
-            "gzip", ["BaseP", "BaseECC"], n_instructions=10_000
-        )
+        results = {
+            scheme: run_experiment(
+                ExperimentSpec("gzip", scheme, n_instructions=10_000)
+            )
+            for scheme in ("BaseP", "BaseECC")
+        }
         norm = normalized_cycles(results)
         assert norm["BaseP"] == 1.0
         assert norm["BaseECC"] > 1.0

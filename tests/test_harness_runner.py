@@ -14,12 +14,7 @@ import pytest
 from repro import recovery
 from repro.harness.cache import ResultCache
 from repro.harness.experiment import run_experiment
-from repro.harness.runner import (
-    Job,
-    ParallelRunner,
-    RunnerError,
-    RunnerStats,
-)
+from repro.harness.runner import ParallelRunner, RunnerError, RunnerStats
 from repro.harness.spec import ExperimentSpec
 
 #: A small (benchmark, scheme, extra-kwargs) grid exercising base, S and
@@ -33,9 +28,18 @@ GRID = [
 N = 4_000
 
 
+#: A bogus ICR knob is caught only when the worker builds the config,
+#: so this spec fails its attempt and its retry.
+_BAD = ExperimentSpec(
+    "gzip", "ICR-P-PS(S)", n_instructions=N, scheme_kwargs={"nosuch_knob": 1}
+)
+
+
 def _jobs(extra=None):
     return [
-        Job(bench, scheme, dict(n_instructions=N, **kwargs, **(extra or {})))
+        ExperimentSpec.from_kwargs(
+            bench, scheme, n_instructions=N, **kwargs, **(extra or {})
+        )
         for bench, scheme, kwargs in GRID
     ]
 
@@ -84,10 +88,10 @@ class TestSerialParallelEquivalence:
 
     def test_run_one_matches_run_experiment(self):
         direct = run_experiment(
-            ExperimentSpec.from_kwargs("gzip", "ICR-P-PS(S)", n_instructions=N)
+            ExperimentSpec("gzip", "ICR-P-PS(S)", n_instructions=N)
         )
         via_runner = ParallelRunner(jobs=1).run_one(
-            "gzip", "ICR-P-PS(S)", n_instructions=N
+            ExperimentSpec("gzip", "ICR-P-PS(S)", n_instructions=N)
         )
         assert via_runner == direct
 
@@ -111,7 +115,7 @@ class TestInProcessFallback:
             "ProcessPoolExecutor",
             lambda *a, **k: (_ for _ in ()).throw(AssertionError("pool used")),
         )
-        job = Job("gzip", "BaseP", dict(n_instructions=N))
+        job = ExperimentSpec("gzip", "BaseP", n_instructions=N)
         results = ParallelRunner(jobs=8).run([job])
         assert results[0].scheme == "BaseP"
 
@@ -130,19 +134,17 @@ class TestBatchAccounting:
     """One mixed batch: a memo hit, a fresh job, its duplicate and
     (optionally) a job that fails its attempt and its retry."""
 
-    BAD = Job("gzip", "ICR-P-PS(S)", dict(n_instructions=N, nosuch_knob=1))
-
     @classmethod
     def _counts(cls, workers, failing):
         runner = ParallelRunner(jobs=workers)
-        memo_hit = Job("gzip", "BaseP", dict(n_instructions=N))
+        memo_hit = ExperimentSpec("gzip", "BaseP", n_instructions=N)
         runner.run([memo_hit])
-        fresh = Job("gzip", "BaseECC", dict(n_instructions=N))
-        duplicate = Job("gzip", "BaseECC", dict(n_instructions=N))
+        fresh = ExperimentSpec("gzip", "BaseECC", n_instructions=N)
+        duplicate = ExperimentSpec("gzip", "BaseECC", n_instructions=N)
         batch = [memo_hit, fresh, duplicate]
         if failing:
             with pytest.raises(RunnerError, match="nosuch"):
-                runner.run(batch + [cls.BAD])
+                runner.run(batch + [_BAD])
         else:
             results = runner.run(batch)
             assert results[1] is results[2]
@@ -173,23 +175,24 @@ class TestBatchAccounting:
 
 
 class TestRetryAndFailure:
-    # Unknown scheme *names* are rejected by the registry before a job
-    # ever reaches a worker, so a bogus ICR knob (caught only when the
-    # worker builds the config) is the run-time failure vector here.
+    # Unknown scheme *names* are rejected by the registry when the spec
+    # is built, so a bogus ICR knob (_BAD) is the run-time failure
+    # vector here.
 
     def test_failing_job_raises_after_retry(self):
         runner = ParallelRunner(jobs=1)
-        bad = Job("gzip", "ICR-P-PS(S)", dict(n_instructions=N, nosuch_knob=1))
-        with pytest.raises(RunnerError, match="nosuch"):
-            runner.run([bad])
+        with pytest.raises(RunnerError, match="nosuch") as caught:
+            runner.run([_BAD])
+        assert caught.value.spec == _BAD
+        assert str(caught.value).startswith("job gzip/ICR-P-PS(S) failed twice: ")
         assert runner.stats.retries == 1
         assert runner.stats.failures == 1
 
     def test_pool_failure_retried_in_parent(self):
         runner = ParallelRunner(jobs=2)
         jobs = [
-            Job("gzip", "BaseP", dict(n_instructions=N)),
-            Job("gzip", "ICR-P-PS(S)", dict(n_instructions=N, nosuch_knob=1)),
+            ExperimentSpec("gzip", "BaseP", n_instructions=N),
+            _BAD,
         ]
         with pytest.raises(RunnerError):
             runner.run(jobs)
@@ -201,7 +204,7 @@ class TestRetryAndFailure:
     def test_timeout_enforced(self):
         runner = ParallelRunner(jobs=1, timeout=0.005)
         with pytest.raises(RunnerError, match="exceeded"):
-            runner.run([Job("gzip", "BaseP", dict(n_instructions=2_000_000))])
+            runner.run([ExperimentSpec("gzip", "BaseP", n_instructions=2_000_000)])
         assert runner.stats.failures == 1
 
 
@@ -226,9 +229,10 @@ class TestCachingBehavior:
         assert runner.stats.cache_hits == len(GRID)
 
     def test_duplicate_jobs_simulated_once(self):
-        job = Job("gzip", "BaseP", dict(n_instructions=N))
+        job = ExperimentSpec("gzip", "BaseP", n_instructions=N)
         runner = ParallelRunner(jobs=1)
-        results = runner.run([job, Job("gzip", "BaseP", dict(n_instructions=N))])
+        twin = ExperimentSpec("gzip", "BaseP", n_instructions=N)
+        results = runner.run([job, twin])
         assert runner.stats.simulated == 1
         assert results[0] == results[1]
 
@@ -245,8 +249,3 @@ class TestRunnerStats:
         stats = RunnerStats()
         assert stats.hit_rate == 0.0
         assert stats.sims_per_sec == 0.0
-
-    def test_run_grid_keys(self):
-        runner = ParallelRunner(jobs=1)
-        grid = runner.run_grid(["gzip"], ["BaseP", "BaseECC"], n_instructions=N)
-        assert set(grid) == {("gzip", "BaseP"), ("gzip", "BaseECC")}

@@ -26,7 +26,7 @@ from repro.chaos import runtime
 from repro.chaos.plan import FaultPlan
 from repro.harness.cache import FileLease, ResultCache
 from repro.harness.campaign import CampaignConfig, CampaignEngine, create_engine
-from repro.harness.runner import Job, ParallelRunner, RunnerError
+from repro.harness.runner import ParallelRunner, RunnerError
 from repro.harness.spec import ExperimentSpec
 from tests.test_golden_campaign import (
     assert_matches_pin,
@@ -349,11 +349,7 @@ class TestFileLease:
 
 class TestRunnerSession:
     def _job(self, n=2_000, seed=0):
-        return Job.from_spec(
-            ExperimentSpec(
-                "gzip", "BaseP", n_instructions=n, trace_seed=seed
-            )
-        )
+        return ExperimentSpec("gzip", "BaseP", n_instructions=n, trace_seed=seed)
 
     def test_submit_and_harvest_serial(self):
         runner = ParallelRunner(jobs=1)
@@ -398,13 +394,11 @@ class TestRunnerSession:
 
     def test_failure_surfaces_runner_error(self):
         runner = ParallelRunner(jobs=1)
-        bad = Job.from_spec(
-            ExperimentSpec(
-                "gzip",
-                "ICR-P-PS(S)",
-                n_instructions=2_000,
-                scheme_kwargs={"nosuch_knob": 1},
-            )
+        bad = ExperimentSpec(
+            "gzip",
+            "ICR-P-PS(S)",
+            n_instructions=2_000,
+            scheme_kwargs={"nosuch_knob": 1},
         )
         with runner.session() as session:
             session.submit(bad)

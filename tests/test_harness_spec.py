@@ -2,9 +2,9 @@
 
 The load-bearing properties:
 
-* the spec form and the legacy keyword form of :func:`run_experiment`
-  produce bit-identical results and share one cache identity, so the
-  keyword shim can be removed without invalidating anyone's cache;
+* a spec built from the legacy keyword vocabulary
+  (:meth:`ExperimentSpec.from_kwargs`) is the same value, with the same
+  cache key, as one built field by field;
 * ``SimulationResult.to_dict`` / ``from_dict`` is a lossless JSON-safe
   round-trip — it is the one serialization used by the result cache,
   campaign checkpoints and JSONL trial logs.
@@ -14,9 +14,8 @@ import json
 
 import pytest
 
-from repro.harness.cache import job_key
 from repro.harness.experiment import SimulationResult, run_experiment
-from repro.harness.spec import RUN_DEFAULTS, ExperimentSpec
+from repro.harness.spec import ExperimentSpec
 
 N = 4_000
 
@@ -50,27 +49,10 @@ class TestSpecConstruction:
         assert spec.n_instructions == N
         assert dict(spec.scheme_kwargs) == {"decay_window": 1000}
 
-    def test_run_kwargs_round_trip(self):
-        spec = ExperimentSpec.from_kwargs(
-            "vpr", "ICR-P-PS(LS)",
-            n_instructions=N, error_rate=0.01, error_seed=7, decay_window=500,
-        )
-        again = ExperimentSpec.from_kwargs(
-            spec.benchmark, spec.scheme, **spec.run_kwargs()
-        )
-        assert again == spec
-
     def test_replace_and_with_seed(self):
         spec = ExperimentSpec("gzip", "BaseP")
         assert spec.with_seed(99).error_seed == 99
         assert spec.with_seed(99).replace(error_seed=spec.error_seed) == spec
-
-    def test_defaults_are_the_cache_defaults(self):
-        # RUN_DEFAULTS (what the cache normalizes omitted kwargs against)
-        # must be exactly the spec's own field defaults.
-        spec = ExperimentSpec("gzip", "BaseP")
-        for name, default in RUN_DEFAULTS.items():
-            assert getattr(spec, name) == default
 
     def test_label_and_names(self):
         spec = ExperimentSpec("gzip", "ICR-P-PS(S)")
@@ -80,12 +62,6 @@ class TestSpecConstruction:
 
 
 class TestCacheKeyIdentity:
-    def test_key_matches_job_key(self):
-        spec = ExperimentSpec.from_kwargs(
-            "gzip", "ICR-P-PS(S)", n_instructions=N, decay_window=1000
-        )
-        assert spec.key() == job_key(spec.benchmark, spec.scheme, spec.run_kwargs())
-
     def test_explicit_defaults_do_not_change_the_key(self):
         bare = ExperimentSpec("gzip", "BaseP", n_instructions=N)
         explicit = ExperimentSpec.from_kwargs(
