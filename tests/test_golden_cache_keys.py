@@ -119,11 +119,3 @@ def test_golden_cache_keys(fixed_code_version, update_golden):
     pins = json.loads(GOLDEN_PATH.read_text())
     assert got == pins
 
-
-def test_equivalent_spellings_share_a_pin():
-    pins = json.loads(GOLDEN_PATH.read_text())
-    assert pins["name"] == pins["profile-object"]
-    assert pins["alias-spelling"] == pins["canonical-spelling"]
-    assert pins["machine-none"] == pins["machine-default"]
-    assert pins["backend-object"] != pins["backend-array"]
-    assert len(set(pins.values())) == len(pins) - 3

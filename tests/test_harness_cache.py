@@ -65,13 +65,10 @@ class TestResultRoundTrip:
             result_from_dict(data)
 
 
-def _key(benchmark="gzip", scheme="ICR-P-PS(S)", **kwargs):
-    kwargs.setdefault("n_instructions", N)
-    return ExperimentSpec.from_kwargs(benchmark, scheme, **kwargs).key()
-
-
 class TestSpecKey:
-    _key = staticmethod(_key)
+    def _key(self, benchmark="gzip", scheme="ICR-P-PS(S)", **kwargs):
+        kwargs.setdefault("n_instructions", N)
+        return ExperimentSpec.from_kwargs(benchmark, scheme, **kwargs).key()
 
     def test_stable_across_calls(self):
         assert self._key() == self._key()
