@@ -204,10 +204,9 @@ def _run_spec(spec: ExperimentSpec) -> SimulationResult:
         else spec.benchmark
     )
     # One resolver picks the kernel tier (array_kernel.backend_mode
-    # reports the same choice): the batched engine where timing
-    # independence holds, the per-access SoA kernel where only the
-    # dL1-internal conditions hold, and the object kernel otherwise —
-    # all three bit-identical (tests/differential/).
+    # reports the same choice): the batched engine for fault-free runs,
+    # the per-access SoA kernel for fault-injected ones, and the object
+    # kernel otherwise — all three bit-identical (tests/differential/).
     mode, config = array_kernel.resolve_kernel(spec)
     if mode == "array-batched":
         return array_kernel.run_batched(spec, profile, config, machine)

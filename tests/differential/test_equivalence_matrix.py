@@ -65,13 +65,13 @@ def test_backend_mode_tiers():
             ExperimentSpec("gzip", scheme, backend="array", **extra)
         )
 
-    # Fault-free LRU write-back schemes take the two-phase engine.
+    # Fault-free LRU schemes take the two-phase engine; write-through and
+    # decay windows > 0 run it with phase 2 in lockstep.
     assert mode("BaseP") == "array-batched"
     assert mode("ICR-ECC-PP(LS)") == "array-batched"
-    # Write-through and decay need the per-access SoA cache.
-    assert mode("BaseP-WT") == "array-soa"
+    assert mode("BaseP-WT") == "array-batched"
     assert mode("ICR-P-PS(S)", scheme_kwargs={"decay_window": 2048}) == (
-        "array-soa"
+        "array-batched"
     )
     # Fault injection is cycle-driven, so it runs per access on the SoA
     # cache with bit-accurate words.
