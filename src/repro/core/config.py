@@ -186,6 +186,12 @@ class ICRConfig:
     silent_store_fraction: float = 0.4
 
     def __post_init__(self) -> None:
+        # Enum knobs may arrive spelled as their values ("dead-first");
+        # store the member, so unknown spellings fail here, not mid-run.
+        for name, kind in _ENUM_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                object.__setattr__(self, name, kind(value))
         if self.max_replicas not in (1, 2):
             raise ValueError("max_replicas must be 1 or 2")
         if self.max_replicas == 2 and not self.second_replica_distances:
@@ -242,6 +248,14 @@ class ICRConfig:
         if self.replicates and replicated:
             return ProtectionKind.PARITY
         return self.protection_unreplicated
+
+
+_ENUM_FIELDS = (
+    ("trigger", ReplicationTrigger),
+    ("lookup", LookupMode),
+    ("victim_policy", VictimPolicy),
+    ("protection_unreplicated", ProtectionKind),
+)
 
 
 def variant(config: ICRConfig, **changes) -> ICRConfig:

@@ -8,10 +8,13 @@ from repro.core.config import (
     ICRConfig,
     LookupMode,
     ReplicationTrigger,
+    VictimPolicy,
     power2_distances,
     resolve_distance,
     variant,
 )
+from repro.harness.experiment import run_experiment
+from repro.harness.spec import ExperimentSpec
 
 
 class TestResolveDistance:
@@ -160,3 +163,41 @@ class TestVariant:
         assert not ReplicationTrigger.STORES.on_fill
         assert ReplicationTrigger.LOADS_AND_STORES.on_fill
         assert not ReplicationTrigger.NONE.on_store
+
+
+class TestEnumSpellings:
+    def test_config_stores_members(self):
+        spelled = ICRConfig(
+            trigger="LS",
+            lookup="PP",
+            victim_policy="replica-first",
+            protection_unreplicated="ecc",
+        )
+        assert spelled == ICRConfig(
+            trigger=ReplicationTrigger.LOADS_AND_STORES,
+            lookup=LookupMode.PARALLEL,
+            victim_policy=VictimPolicy.REPLICA_FIRST,
+            protection_unreplicated=ProtectionKind.ECC,
+        )
+        assert spelled.victim_policy is VictimPolicy.REPLICA_FIRST
+
+    def test_unknown_spelling_rejected_at_build(self):
+        with pytest.raises(ValueError, match="dead-frist"):
+            ICRConfig(victim_policy="dead-frist")
+
+    @pytest.mark.parametrize("backend", ["array", "object"])
+    def test_string_knob_runs_like_the_enum(self, backend):
+        """The string form runs end to end and equals the enum form."""
+
+        def result(policy):
+            spec = ExperimentSpec.from_kwargs(
+                "gzip",
+                "ICR-P-PS(S)",
+                victim_policy=policy,
+                decay_window=1000,
+                n_instructions=4_000,
+                backend=backend,
+            )
+            return run_experiment(spec).to_dict()
+
+        assert result("dead-first") == result(VictimPolicy.DEAD_FIRST)
