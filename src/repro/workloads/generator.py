@@ -39,6 +39,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
+from repro import recovery
 from repro.cpu.isa import (
     OP_BRANCH,
     OP_FP_ALU,
@@ -439,6 +440,8 @@ def _persist(trace: Trace, path: Path) -> None:
         os.replace(tmp, path)
     except OSError:
         # A read-only or full cache dir never fails the run.
+        recovery.count("trace_write_errors")
+        recovery.warn("traces", f"dropped write of {path.name} (disk error)")
         try:
             tmp.unlink()
         except OSError:

@@ -3,8 +3,8 @@
 Every persistent writer is temp file + ``os.replace``.  A disk that
 fills up partway through the write (a real ``ENOSPC``, not the chaos
 hook, which fires before the temp file exists) must cost only the
-write: the run goes on, the writer's recovery counter moves where it
-has one, and no ``*.tmp.*`` file is left behind to pile up.
+write: the run goes on, the writer's recovery counter moves, and no
+``*.tmp.*`` file is left behind to pile up.
 """
 
 import errno
@@ -79,6 +79,8 @@ def test_trace_persist_removes_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(trace_io, "save_trace", half_save)
     path = tmp_path / "traces" / "tiny.icrt"
+    before = recovery.counter("trace_write_errors")
     generator._persist(trace, path)
+    assert recovery.counter("trace_write_errors") == before + 1
     assert not path.exists()
     assert list(tmp_path.rglob("*.tmp.*")) == []
