@@ -120,15 +120,6 @@ class SetAssociativeCache:
             return block
         return None
 
-    def index_fill(self, block: CacheBlock) -> None:
-        """Register a just-filled primary with the tag index."""
-        self._tag_index[block.block_addr] = block
-
-    def index_drop(self, block: CacheBlock) -> None:
-        """Remove *block*'s tag-index entry (before invalidation/refill)."""
-        if self._tag_index.get(block.block_addr) is block:
-            del self._tag_index[block.block_addr]
-
     def rebuild_tag_index(self) -> None:
         """Recompute the tag index from the arrays (after a bulk restore)."""
         self._tag_index = {
@@ -184,14 +175,6 @@ class SetAssociativeCache:
         if self.on_evict is not None:
             self.on_evict(eviction)
         return eviction
-
-    def locate(self, set_index: int, way: int) -> CacheBlock:
-        return self.sets[set_index][way]
-
-    def way_of(self, set_index: int, block: CacheBlock) -> int:
-        if block.set_index == set_index:
-            return block.way
-        raise ValueError(f"block does not live in set {set_index}")
 
     def iter_valid_blocks(self) -> Iterator[tuple[int, int, CacheBlock]]:
         """Yield ``(set_index, way, block)`` for every valid line."""

@@ -76,10 +76,6 @@ class FaultPlan:
         ).digest()
         return int.from_bytes(digest, "big") < rate * 2.0**64
 
-    def any_faults(self) -> bool:
-        """True when at least one kind has a nonzero rate."""
-        return any(self.rate(kind) > 0.0 for kind in FAULT_KINDS)
-
     def to_json(self) -> str:
         """Compact JSON wire form (the env-var transport payload)."""
         return json.dumps(

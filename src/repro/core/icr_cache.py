@@ -270,9 +270,6 @@ class ICRCache(SetAssociativeCache):
     # energy event counting
     # ------------------------------------------------------------------
 
-    def _count_check(self, kind: ProtectionKind) -> None:
-        self.protection_policy.count_check(self.stats, kind)
-
     def _count_generate(self, kind: ProtectionKind) -> None:
         self.protection_policy.count_generate(self.stats, kind)
 

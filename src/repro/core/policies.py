@@ -69,9 +69,6 @@ class ProtectionPolicy:
         self.load_hit_latency_unreplicated = config.load_hit_latency(replicated=False)
         self.load_hit_latency_replicated = config.load_hit_latency(replicated=True)
 
-    def kind_for(self, replicated: bool) -> ProtectionKind:
-        return self.replicated if replicated else self.unreplicated
-
     def count_check(self, stats: "CacheStats", kind: ProtectionKind) -> None:
         if kind is ProtectionKind.PARITY:
             stats.parity_checks += 1

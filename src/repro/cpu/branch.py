@@ -14,13 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def _counter_update(counter: int, taken: bool) -> int:
-    """2-bit saturating counter step."""
-    if taken:
-        return min(3, counter + 1)
-    return max(0, counter - 1)
-
-
 @dataclass
 class PredictorStats:
     branches: int = 0

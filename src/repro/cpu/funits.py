@@ -62,19 +62,6 @@ class _Pool:
         self.spec = spec
         self.free_at = [0] * spec.count
 
-    def reserve(self, ready: int) -> int:
-        """Claim a unit; returns the operation's start cycle."""
-        free = self.free_at
-        best = 0
-        best_time = free[0]
-        for i in range(1, len(free)):
-            if free[i] < best_time:
-                best_time = free[i]
-                best = i
-        start = ready if ready >= best_time else best_time
-        free[best] = start + self.spec.interval
-        return start
-
 
 class FunctionalUnits:
     """All pools of the machine, addressed by operation class."""
@@ -109,6 +96,3 @@ class FunctionalUnits:
         start = ready if ready >= best_time else best_time
         free[best] = start + interval
         return start, latency
-
-    def latency_of(self, op: int) -> int:
-        return self.specs[_OP_TO_POOL[op]].latency
