@@ -176,7 +176,7 @@ def run_rcache_baseline(
     from repro.workloads.spec2000 import profile_for
 
     profile = profile_for(benchmark) if isinstance(benchmark, str) else benchmark
-    trace = trace_for(profile, n_instructions)
+    trace = trace_for(profile, n_instructions, seed_offset=0)
     dl1 = make_cache("BaseP")
     rcache = RCache(rcache_bytes, dl1.geometry.block_size)
 

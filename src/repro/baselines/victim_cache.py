@@ -169,7 +169,7 @@ def run_victim_cache_baseline(
     dl1 = VictimCacheDL1(entries)
     hierarchy = MemoryHierarchy(dl1, HierarchyConfig())
     pipeline = OutOfOrderPipeline(hierarchy)
-    result = pipeline.run(trace_for(profile, n_instructions))
+    result = pipeline.run(trace_for(profile, n_instructions, seed_offset=0))
     return VictimCacheResult(
         benchmark=profile.name,
         entries=entries,

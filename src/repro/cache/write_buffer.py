@@ -11,6 +11,7 @@ occupying the L2 port for ``drain_cycles``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -24,12 +25,6 @@ class WriteBufferStats:
 
 
 @dataclass
-class _Entry:
-    block_addr: int
-    drain_done: int  # cycle at which this entry has fully drained to L2
-
-
-@dataclass
 class CoalescingWriteBuffer:
     """An N-entry coalescing store buffer draining to L2."""
 
@@ -40,12 +35,20 @@ class CoalescingWriteBuffer:
     def __post_init__(self) -> None:
         if self.entries <= 0:
             raise ValueError("write buffer needs at least one entry")
-        self._queue: list[_Entry] = []
+        if self.drain_cycles < 0:
+            raise ValueError("write buffer drain time cannot be negative")
+        # (drain_done, block_addr) per entry, oldest first.  The single L2
+        # port serializes drains, so drain_done never decreases along the
+        # queue: the front is the oldest entry and expiry pops from it.
+        self._queue: deque[tuple[int, int]] = deque()
+        self._buffered: set[int] = set()  # block addresses in the queue
         self._port_free = 0  # cycle at which the L2 port is next free
 
     def _expire(self, now: int) -> None:
         """Drop entries that have finished draining by *now*."""
-        self._queue = [e for e in self._queue if e.drain_done > now]
+        queue = self._queue
+        while queue and queue[0][0] <= now:
+            self._buffered.discard(queue.popleft()[1])
 
     def occupancy(self, now: int) -> int:
         self._expire(now)
@@ -58,15 +61,13 @@ class CoalescingWriteBuffer:
         common case).  Coalescing hits do not allocate and never stall.
         """
         self._expire(now)
-        for entry in self._queue:
-            if entry.block_addr == block_addr:
-                self.stats.coalesced += 1
-                return 0
+        if block_addr in self._buffered:
+            self.stats.coalesced += 1
+            return 0
         stall = 0
         if len(self._queue) >= self.entries:
             # Stall until the oldest entry finishes draining.
-            oldest = min(e.drain_done for e in self._queue)
-            stall = max(0, oldest - now)
+            stall = max(0, self._queue[0][0] - now)
             self.stats.full_stalls += 1
             self.stats.stall_cycles += stall
             now += stall
@@ -75,7 +76,8 @@ class CoalescingWriteBuffer:
         start = max(now, self._port_free)
         done = start + self.drain_cycles
         self._port_free = done
-        self._queue.append(_Entry(block_addr, done))
+        self._queue.append((done, block_addr))
+        self._buffered.add(block_addr)
         self.stats.enqueues += 1
         self.stats.drains += 1
         return stall

@@ -26,8 +26,9 @@ semantics in struct-of-arrays form and a batched execution mode:
   it exactly as they drive the object kernel.  The data bookkeeping
   wraps the inherited state transitions, so the fault-free paths carry
   none of it.
-* :func:`run_batched` — a two-phase engine for every fault-free spec
-  (no fault injection, no scrubbing, no vulnerability sampling).
+* :func:`run_batched` — a two-phase engine for every spec the SoA kernel
+  supports (no scrubbing, no vulnerability sampling) whose iL1 is plain:
+  dL1 fault injection included.
   Branch-predictor outcomes and fetch-block boundaries depend only on
   the *trace*, so they are precomputed once per trace and memoized next
   to the trace itself (:func:`_phase1_prestage`).  Phase 1 then walks
@@ -36,10 +37,11 @@ semantics in struct-of-arrays form and a batched execution mode:
   driving the SoA caches and writing each event's latency into a
   per-instruction buffer; phase 2 replays the exact scoreboard timing
   loop of :class:`~repro.cpu.pipeline.OutOfOrderPipeline` against those
-  buffers.  With a decay window of 0 or None and a write-back dL1 no
-  memory-side decision reads a cycle number, so every access happens
-  at now=0 and phase 2 runs once, after phase 1.  A decay window > 0
-  (the dead-block predicate reads cycles) or a write-through dL1
+  buffers.  With a decay window of 0 or None, a write-back dL1 and no
+  fault injection no memory-side decision reads a cycle number, so
+  every access happens at now=0 and phase 2 runs once, after phase 1.
+  A decay window > 0 (the dead-block predicate reads cycles), a fault
+  injector (strikes are drawn in cycles) or a write-through dL1
   (write-buffer stalls feed back into store latency) runs phase 2 in
   lockstep instead: the scoreboard stops at each memory op and hands
   phase 1 its exact issue cycle as ``now``.  The scoreboard is a small
@@ -51,8 +53,8 @@ semantics in struct-of-arrays form and a batched execution mode:
 
 Eligibility is decided per spec: :func:`batched_supported` gates the
 two-phase engine, :func:`soa_supported` the per-access ``ArrayDL1`` under
-the normal hierarchy (used for fault injection, which is cycle-driven:
-the injector strikes by cycle), and anything else — baselines,
+the normal hierarchy (used when the iL1 is protected or injected, which
+the engine's plain iL1 does not model), and anything else — baselines,
 scrubbing, vulnerability sampling, software hints, non-LRU
 replacement — falls back to the object kernel.  ``backend="array"``
 therefore never changes results, only the execution strategy;
@@ -91,6 +93,7 @@ from repro.core.icr_cache import ICRCache
 from repro.core.placement import HashRing, build_placement
 from repro.core.protocol import DL1Outcome
 from repro.core.schemes import make_config
+from repro.errors.injector import FaultInjector
 
 # ---------------------------------------------------------------------------
 # outcome codes (table-driven classification)
@@ -201,9 +204,9 @@ def kernel_supported(config: ICRConfig) -> bool:
 
 
 def soa_supported(spec, config: ICRConfig) -> bool:
-    """May this spec run :class:`ArrayDL1` under the normal hierarchy?
+    """May this spec run :class:`ArrayDL1` at all?
 
-    Fault injection (``error_rate > 0``) runs here: the injector and
+    Fault injection (``error_rate > 0``) runs on it: the injector and
     error models drive the kernel's frame view.  Excluded are the
     observers that walk every word through CacheBlocks — scrubbing and
     vulnerability sampling — which need the object kernel.
@@ -218,18 +221,33 @@ def soa_supported(spec, config: ICRConfig) -> bool:
 def batched_supported(spec, config: ICRConfig, machine) -> bool:
     """May this spec run the two-phase batched engine?
 
-    Requires a fault-free run: no fault injection into either L1 (the
-    injector strikes by cycle, which the engine does not model yet) —
-    hence no bit-accurate storage.  Decay windows > 0 and write-through
-    dL1s are timing-coupled, and run with phase 2 in lockstep.
+    Everything :func:`soa_supported` admits, dL1 fault injection
+    included, unless the iL1 is protected or injected: the engine models
+    the iL1 as a plain cache.  Decay windows > 0, write-through dL1s and
+    fault injection are timing-coupled, and run with phase 2 in lockstep.
     """
     return (
         soa_supported(spec, config)
-        and spec.error_rate == 0.0
-        and not config.track_data
         and spec.icache_error_rate == 0.0
         and not machine.hierarchy.protected_icache
     )
+
+
+def attach_fault_injector(spec, dl1) -> None:
+    """Attach the spec's dL1 :class:`FaultInjector` to *dl1*, if it has one.
+
+    Every tier attaches it here, so all of them seed it alike and refuse
+    the same specs: :class:`ValueError` for a fault-injected spec whose
+    dL1 keeps no bit-accurate words.
+    """
+    if spec.error_rate > 0.0:
+        if not dl1.config.track_data:
+            raise ValueError(
+                "error injection requires track_data=True in the config"
+            )
+        FaultInjector(
+            dl1, spec.error_rate, model=spec.error_model, seed=spec.error_seed
+        )
 
 
 def resolve_kernel(spec) -> tuple[str, Optional[ICRConfig]]:
@@ -1013,6 +1031,19 @@ class BitAccurateArrayDL1(ArrayDL1):
     def access(self, addr: int, is_write: bool, now: int) -> DL1Outcome:
         """Bit-accurate demand access: ``ICRCache.access``'s full path.
 
+        The access counters, then :meth:`_demand`.
+        """
+        stats = self.stats
+        if is_write:
+            stats.stores += 1
+        else:
+            stats.loads += 1
+        stats.tag_probes += 1
+        return self._demand(addr, is_write, now)
+
+    def _demand(self, addr: int, is_write: bool, now: int) -> DL1Outcome:
+        """:meth:`access` past its counters (the batched engine counts).
+
         Observers run first; the dispatch is :meth:`access_code`'s.  A
         store then writes its value into the line and its replicas, and
         a load hit on a word in the overlay runs :meth:`_verified_load`,
@@ -1024,14 +1055,9 @@ class BitAccurateArrayDL1(ArrayDL1):
             self.scrubber.advance(now)
         if self.monitor is not None:
             self.monitor.observe(now)
-        stats = self.stats
         block_addr = addr >> self._block_shift
         word = (addr >> 3) & self._word_mask
-        if is_write:
-            stats.stores += 1
-        else:
-            stats.loads += 1
-        stats.tag_probes += 1
+        stats = self.stats
         f = self._tag_index.get(block_addr, -1)
         if f >= 0:
             if is_write:
@@ -1429,7 +1455,7 @@ def _phase1_prestage(profile, n_instructions, seed_offset, fetch_shift):
     from repro.cpu.isa import OP_BRANCH
     from repro.workloads.generator import trace_for
 
-    trace = trace_for(profile, n_instructions, seed_offset)
+    trace = trace_for(profile, n_instructions, seed_offset=seed_offset)
     ops = trace.op
     pcs = trace.pc
     takens = trace.taken
@@ -1509,6 +1535,7 @@ def run_batched(spec, profile, config: ICRConfig, machine):
     n = len(ops)
 
     dl1 = ArrayDL1(config)
+    attach_fault_injector(spec, dl1)
     l1i = _PlainArrayCache(hier_cfg.l1i_geometry)
     l2 = _PlainArrayCache(hier_cfg.l2_geometry)
     mem_accesses = 0
@@ -1593,17 +1620,18 @@ def run_batched(spec, profile, config: ICRConfig, machine):
     )
 
     # Cycle stamps.  A decay window > 0 makes the dead-block predicate
-    # read cycle numbers, and a write-through dL1 feeds write-buffer
-    # stalls back into store latency; both need each access's issue
-    # cycle.  Then phase 2 runs in lockstep with phase 1: stamp(i) runs
-    # the scoreboard up to memory op i and returns its issue cycle.  That
-    # cycle depends only on the latencies of the instructions before i,
-    # which phase 1 has already written, so by induction over program
-    # order every stamp is the sequential pipeline's.  Other specs never
-    # ask for a stamp: every access happens at now=0, and phase 2 runs
-    # to the end in one call after phase 1.
+    # read cycle numbers, a fault injector draws its strikes in cycles,
+    # and a write-through dL1 feeds write-buffer stalls back into store
+    # latency; all three need each access's issue cycle.  Then phase 2
+    # runs in lockstep with phase 1: stamp(i) runs the scoreboard up to
+    # memory op i and returns its issue cycle.  That cycle depends only
+    # on the latencies of the instructions before i, which phase 1 has
+    # already written, so by induction over program order every stamp is
+    # the sequential pipeline's.  Other specs never ask for a stamp:
+    # every access happens at now=0, and phase 2 runs to the end in one
+    # call after phase 1.
     window = config.decay_window
-    timed = window is not None and window > 0
+    timed = (window is not None and window > 0) or spec.error_rate > 0.0
     writethrough = config.write_policy == "writethrough"
     stamp = None
     if timed or writethrough:
@@ -1630,9 +1658,14 @@ def run_batched(spec, profile, config: ICRConfig, machine):
     l1i_miss_latency = l1i_latency + l2_latency
     l1i_mem_latency = l1i_latency + l2_latency + memory_latency
 
-    # dL1 hot-path state, bound to locals.
+    # dL1 hot-path state, bound to locals.  A bit-accurate dL1 takes
+    # every access through its own demand path (the injector, stored
+    # words, the recovery ladder): an empty tag map keeps it off the
+    # fused hit paths, and the miss paths call its _demand instead.
+    bitacc = isinstance(dl1, BitAccurateArrayDL1)
     dshift = dl1._block_shift
-    dtag_get = dl1._tag_index.get
+    dtag_get = {}.get if bitacc else dl1._tag_index.get
+    dl1_demand = dl1._demand if bitacc else None
     dlru = dl1._lru
     dlast = dl1._last
     ddirty = dl1._dirty
@@ -1739,14 +1772,20 @@ def run_batched(spec, profile, config: ICRConfig, machine):
                     exec_lat[idx] = lat_unrep
             else:
                 dl1._lru_clock = d_lru_clock
-                r = probe_replica(ba) if leave_replicas else -1
-                if r >= 0:
-                    code = fill_from_replica(r, False, now)
+                if bitacc:
+                    # Its hit latency includes any recovery (replica
+                    # reach, refetch); None is a miss.
+                    latency = dl1_demand(addr, False, now).latency
                 else:
-                    code = dl1_miss(ba, False, now)
+                    r = probe_replica(ba) if leave_replicas else -1
+                    if r >= 0:
+                        code = fill_from_replica(r, False, now)
+                    else:
+                        code = dl1_miss(ba, False, now)
+                    latency = latency_table[code]  # 0: a miss
                 d_lru_clock = dl1._lru_clock
-                if code != OUT_MISS:
-                    exec_lat[idx] = latency_table[code]
+                if latency:
+                    exec_lat[idx] = latency
                 elif l2_access(addr, False):
                     exec_lat[idx] = l2_latency
                 else:
@@ -1806,15 +1845,19 @@ def run_batched(spec, profile, config: ICRConfig, machine):
                 # the critical path (L2 traffic only; the pipeline sees
                 # store_latency).
                 dl1._lru_clock = d_lru_clock
-                r = probe_replica(ba) if leave_replicas else -1
-                if r >= 0:
-                    code = fill_from_replica(r, True, now)
+                if bitacc:
+                    missed = dl1_demand(addr, True, now).latency is None
+                    silent_seq = dl1._silent_seq  # its _hit may advance it
                 else:
-                    code = dl1_miss(ba, True, now)
+                    r = probe_replica(ba) if leave_replicas else -1
+                    missed = r < 0
+                    if missed:
+                        dl1_miss(ba, True, now)
+                    else:
+                        fill_from_replica(r, True, now)
                 d_lru_clock = dl1._lru_clock
-                if code == OUT_MISS:
-                    if not l2_access(addr, False):
-                        mem_accesses += 1
+                if missed and not l2_access(addr, False):
+                    mem_accesses += 1
             if writethrough:
                 stall = wb_push(ba, now if timed else stamp(idx))
                 wt_writes += 1

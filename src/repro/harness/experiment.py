@@ -204,9 +204,11 @@ def _run_spec(spec: ExperimentSpec) -> SimulationResult:
         else spec.benchmark
     )
     # One resolver picks the kernel tier (array_kernel.backend_mode
-    # reports the same choice): the batched engine for fault-free runs,
-    # the per-access SoA kernel for fault-injected ones, and the object
-    # kernel otherwise — all three bit-identical (tests/differential/).
+    # reports the same choice): the batched engine for every ArrayDL1
+    # spec with a plain iL1 (dL1 fault injection included), the
+    # per-access SoA kernel when the iL1 is protected or injected, and
+    # the object kernel otherwise — all three bit-identical
+    # (tests/differential/).
     mode, config = array_kernel.resolve_kernel(spec)
     if mode == "array-batched":
         return array_kernel.run_batched(spec, profile, config, machine)
@@ -223,8 +225,7 @@ def _run_spec(spec: ExperimentSpec) -> SimulationResult:
     # Wrapper models expose the ICR cache that holds the real array as
     # injection_target; observers always attach there.
     dl1_core = getattr(dl1, "injection_target", dl1)
-    if spec.error_rate > 0.0 and not dl1_core.config.track_data:
-        raise ValueError("error injection requires track_data=True in the config")
+    array_kernel.attach_fault_injector(spec, dl1_core)
 
     hierarchy_config = machine.hierarchy
     if spec.icache_error_rate > 0.0 and not hierarchy_config.protected_icache:
@@ -241,10 +242,6 @@ def _run_spec(spec: ExperimentSpec) -> SimulationResult:
             spec.icache_error_rate,
             model=spec.error_model,
             seed=derive_stream_seed(spec.error_seed, "l1i"),
-        )
-    if spec.error_rate > 0.0:
-        FaultInjector(
-            dl1_core, spec.error_rate, model=spec.error_model, seed=spec.error_seed
         )
     monitor = None
     if spec.measure_vulnerability:

@@ -460,6 +460,10 @@ def trace_for(
     by :func:`trace_key`) shares each generated trace across the worker
     processes of a sweep and across runs.  The binary round-trip is exact,
     so a loaded trace is equal-by-value to a freshly generated one.
+
+    Callers pass ``seed_offset`` by keyword: the LRU keys ``(p, n, 3)``
+    and ``(p, n, seed_offset=3)`` apart, so mixing the two spellings
+    would load, and keep, the same trace twice.
     """
     directory = trace_cache_dir()
     if directory is None:

@@ -73,10 +73,13 @@ def test_backend_mode_tiers():
     assert mode("ICR-P-PS(S)", scheme_kwargs={"decay_window": 2048}) == (
         "array-batched"
     )
-    # Fault injection is cycle-driven, so it runs per access on the SoA
-    # cache with bit-accurate words.
-    assert mode("ICR-P-PS(S)", error_rate=1e-3) == "array-soa"
-    assert mode("BaseECC", error_rate=1e-2, error_model="burst") == "array-soa"
+    # dL1 fault injection is cycle-driven too: lockstep, on the SoA cache
+    # with bit-accurate words.  A protected or injected iL1 runs per
+    # access under the object hierarchy.
+    assert mode("ICR-P-PS(S)", error_rate=1e-3) == "array-batched"
+    assert mode("BaseECC", error_rate=1e-2, error_model="burst") == "array-batched"
+    assert mode("BaseP", scheme_kwargs={"track_data": True}) == "array-batched"
+    assert mode("BaseP", error_rate=1e-3, icache_error_rate=1e-3) == "array-soa"
     # Scrubbing and vulnerability sampling walk CacheBlocks, and the
     # non-ICR baselines have no SoA port: they fall back to objects.
     assert mode("ICR-P-PS(S)", error_rate=1e-3, scrub_period=500) == "object"

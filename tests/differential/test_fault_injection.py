@@ -1,13 +1,14 @@
 """Fault-injected runs: the array kernel is bit-identical to the object kernel.
 
 Every Fig. 14 number comes from runs with ``error_rate > 0``.  Under
-``backend="array"`` they run on the per-access ``array-soa`` tier, where
-:class:`~repro.core.array_kernel.ArrayDL1` keeps bit-accurate words as
-golden values plus a sparse overlay of error patterns; the object kernel's
-``track_data`` path is the reference.  The unchanged ``FaultInjector``
-and error models drive both kernels, so the fault sites — and with them
-the complete ``SimulationResult.to_dict()`` — must agree for every error
-model, scheme and seed.
+``backend="array"`` they run on the ``array-batched`` tier with phase 2
+in lockstep, where :class:`~repro.core.array_kernel.ArrayDL1` keeps
+bit-accurate words as golden values plus a sparse overlay of error
+patterns; the object kernel's ``track_data`` path is the reference.
+The unchanged ``FaultInjector`` and error models drive both kernels, so
+the fault sites — and with them the complete
+``SimulationResult.to_dict()`` — must agree for every error model,
+scheme and seed.
 """
 
 import json
@@ -65,7 +66,7 @@ def _pair(benchmark, scheme, kwargs, *, rate, seed, model):
 
 
 def _assert_identical(spec_obj, spec_arr):
-    assert backend_mode(spec_arr) == "array-soa"
+    assert backend_mode(spec_arr) == "array-batched"
     reference = run_experiment(spec_obj).to_dict()
     candidate = run_experiment(spec_arr).to_dict()
     assert reference["dl1"]["errors_injected"] > 0
@@ -98,6 +99,23 @@ def test_fault_injection_sweep(case, model, rate, seed):
     _assert_identical(
         *_pair("gzip", scheme, kwargs, rate=rate, seed=seed, model=model)
     )
+
+
+@pytest.mark.parametrize("backend", ["object", "array"])
+@pytest.mark.parametrize(
+    "scheme,kwargs",
+    [("BaseP", {"track_data": False}), (make_config("ICR-P-PS(S)"), {})],
+    ids=["named", "prebuilt"],
+)
+def test_fault_spec_without_stored_words_is_refused(scheme, kwargs, backend):
+    """Injecting into a dL1 without ``track_data`` raises on every tier."""
+    spec = ExperimentSpec.from_kwargs(
+        "gzip", scheme, n_instructions=N, error_rate=1e-2, backend=backend, **kwargs
+    )
+    expected_tier = "array-batched" if backend == "array" else "object"
+    assert backend_mode(spec) == expected_tier
+    with pytest.raises(ValueError, match="error injection requires track_data=True"):
+        run_experiment(spec)
 
 
 def test_overlay_copy_paths_are_exercised(monkeypatch):
@@ -237,11 +255,11 @@ def _golden_spec(name, backend):
 def test_fault_injection_golden_under_array_backend(name):
     """The fault-injection pins hold under ``backend="array"``.
 
-    Every non-scrub pin runs on the ``array-soa`` tier; the scrubber walks
-    CacheBlocks, so the scrub pin resolves to the object kernel.
+    Every non-scrub pin runs on the ``array-batched`` tier; the scrubber
+    walks CacheBlocks, so the scrub pin resolves to the object kernel.
     """
     spec = _golden_spec(name, "array")
-    expected_tier = "object" if spec.scrub_period is not None else "array-soa"
+    expected_tier = "object" if spec.scrub_period is not None else "array-batched"
     assert backend_mode(spec) == expected_tier
     pinned = json.loads(pins.GOLDEN_PATH.read_text())
     got = json.loads(json.dumps(run_experiment(spec).to_dict()))

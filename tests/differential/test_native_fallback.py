@@ -23,9 +23,15 @@ from repro.harness.spec import ExperimentSpec
 LOCKSTEP = {
     "decay": (
         "ICR-P-PS(S)",
-        {"decay_window": 1000, "victim_policy": VictimPolicy.DEAD_FIRST},
+        {
+            "scheme_kwargs": {
+                "decay_window": 1000,
+                "victim_policy": VictimPolicy.DEAD_FIRST,
+            }
+        },
     ),
     "write-through": ("BaseP-WT", {}),
+    "faults": ("ICR-ECC-PS(S)", {"error_rate": 1e-2, "error_seed": 5}),
 }
 
 
@@ -37,9 +43,9 @@ def _result(backend):
 
 
 def _lockstep(name):
-    scheme, knobs = LOCKSTEP[name]
+    scheme, extra = LOCKSTEP[name]
     spec = ExperimentSpec(
-        "gzip", scheme, n_instructions=10_000, backend="array", scheme_kwargs=knobs
+        "gzip", scheme, n_instructions=10_000, backend="array", **extra
     )
     assert backend_mode(spec) == "array-batched"
     return spec

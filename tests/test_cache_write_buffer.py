@@ -1,5 +1,8 @@
 """Tests for the coalescing write buffer (Section 5.8 substrate)."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.cache.write_buffer import CoalescingWriteBuffer
@@ -75,3 +78,64 @@ class TestValidation:
     def test_zero_entries_rejected(self):
         with pytest.raises(ValueError):
             CoalescingWriteBuffer(entries=0)
+
+    def test_negative_drain_time_rejected(self):
+        with pytest.raises(ValueError):
+            CoalescingWriteBuffer(drain_cycles=-1)
+
+
+class _ScanningBuffer:
+    """The buffer as an unordered list: expiry filters it, the oldest
+    entry is the minimum drain time, coalescing scans every entry."""
+
+    def __init__(self, entries, drain_cycles):
+        self.entries = entries
+        self.drain_cycles = drain_cycles
+        self.queue = []  # [block_addr, drain_done]
+        self.port_free = 0
+        self.stall_cycles = self.full_stalls = self.coalesced = 0
+
+    def occupancy(self, now):
+        self.queue = [e for e in self.queue if e[1] > now]
+        return len(self.queue)
+
+    def push(self, block_addr, now):
+        self.queue = [e for e in self.queue if e[1] > now]
+        if any(e[0] == block_addr for e in self.queue):
+            self.coalesced += 1
+            return 0
+        stall = 0
+        if len(self.queue) >= self.entries:
+            stall = max(0, min(e[1] for e in self.queue) - now)
+            self.full_stalls += 1
+            self.stall_cycles += stall
+            now += stall
+            self.queue = [e for e in self.queue if e[1] > now]
+        done = max(now, self.port_free) + self.drain_cycles
+        self.port_free = done
+        self.queue.append([block_addr, done])
+        return stall
+
+
+@pytest.mark.parametrize("drain_cycles", [0, 1, 6, 25])
+@pytest.mark.parametrize("seed", range(4))
+def test_fifo_matches_a_scanning_buffer(seed, drain_cycles):
+    """Drains finish in queue order, so the FIFO keeps every stall and count."""
+    rng = random.Random(seed)
+    wb = CoalescingWriteBuffer(entries=rng.choice([1, 2, 8]), drain_cycles=drain_cycles)
+    reference = _ScanningBuffer(wb.entries, drain_cycles)
+    now = 0
+    for _ in range(3_000):
+        # Issue cycles of stores are not monotonic in program order.
+        now = max(0, now + rng.randrange(-3, 6))
+        block = rng.randrange(12)
+        assert wb.push(block, now) == reference.push(block, now)
+        if rng.random() < 0.1:
+            assert wb.occupancy(now) == reference.occupancy(now)
+    assert dataclasses.astuple(wb.stats)[1:] == (
+        reference.coalesced,
+        wb.stats.enqueues,
+        reference.stall_cycles,
+        reference.full_stalls,
+    )
+    assert reference.full_stalls > 0 and reference.coalesced > 0

@@ -421,12 +421,12 @@ class TestRunnerSession:
 
 class TestBackendTierDispatch:
     def test_tier_resolves_per_cell(self):
-        # Error-injection cells run on the per-access SoA kernel; a
+        # Error-injection cells run on the batched engine in lockstep; a
         # scrubbing campaign walks CacheBlocks, so its cells fall back
         # to the object tier rather than refusing the campaign.
         config = config_for("small", backend="array")
         for cell in config.cells():
-            assert config.trial_mode(cell) == "array-soa"
+            assert config.trial_mode(cell) == "array-batched"
             assert config.trial_spec(cell, 0, 0).backend == "array"
         scrubbed = config_for("small", backend="array", scrub_period=500)
         for cell in scrubbed.cells():

@@ -43,6 +43,29 @@ class TestDeterminism:
     def test_trace_for_caches(self, profile):
         assert trace_for(profile, 2000) is trace_for(profile, 2000)
 
+    @pytest.mark.parametrize("error_rate", [0.0, 1e-2])
+    def test_batched_run_loads_its_trace_once(self, error_rate):
+        """The engine and its prestage share one memoized trace.
+
+        ``lru_cache`` keys positional and keyword spellings apart, so a
+        caller passing ``seed_offset`` positionally would load (and keep)
+        a second copy.
+        """
+        from repro.core.array_kernel import _phase1_prestage, backend_mode
+        from repro.harness.experiment import run_experiment
+        from repro.harness.spec import ExperimentSpec
+
+        spec = ExperimentSpec(
+            "gzip", "ICR-P-PS(S)", n_instructions=2_000, trace_seed=5,
+            error_rate=error_rate, backend="array",
+        )
+        assert backend_mode(spec) == "array-batched"
+        trace_for.cache_clear()
+        _phase1_prestage.cache_clear()
+        run_experiment(spec)
+        info = trace_for.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
 
 class TestInstructionMix:
     def test_mix_close_to_profile(self, profile):
