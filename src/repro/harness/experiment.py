@@ -24,8 +24,6 @@ from typing import Optional
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core import array_kernel
-from repro.core.icr_cache import ICRCache
-from repro.core.registry import build_dl1
 from repro.cpu.branch import PredictorStats
 from repro.cpu.pipeline import OutOfOrderPipeline, PipelineResult
 from repro.energy.accounting import EnergyBreakdown, EnergyParams, energy_of
@@ -204,28 +202,17 @@ def _run_spec(spec: ExperimentSpec) -> SimulationResult:
         else spec.benchmark
     )
     # One resolver picks the kernel tier (array_kernel.backend_mode
-    # reports the same choice): the batched engine for every ArrayDL1
-    # spec with a plain iL1 (dL1 fault injection included), the
-    # per-access SoA kernel when the iL1 is protected or injected, and
-    # the object kernel otherwise — all three bit-identical
-    # (tests/differential/).
+    # reports the same choice).  Under backend="array" every spec with a
+    # plain iL1 runs the batched engine, whatever its dL1 model; a
+    # protected or injected iL1 runs here, under the object hierarchy
+    # and pipeline, with the per-access SoA dL1 where it applies and the
+    # object dL1 otherwise.  backend="object" is the reference oracle.
+    # All tiers are bit-identical (tests/differential/).
     mode, config = array_kernel.resolve_kernel(spec)
     if mode == "array-batched":
         return array_kernel.run_batched(spec, profile, config, machine)
-    if config is None:
-        # Wrapper models (rcache, victim-cache) and external schemes are
-        # built whole by the registry and run through the same machinery
-        # as the ICR family.
-        dl1 = build_dl1(spec.scheme, **array_kernel.scheme_kwargs_of(spec))
-        config = dl1.config
-    elif mode == "array-soa":
-        dl1 = array_kernel.ArrayDL1(config)
-    else:
-        dl1 = ICRCache(config)
-    # Wrapper models expose the ICR cache that holds the real array as
-    # injection_target; observers always attach there.
-    dl1_core = getattr(dl1, "injection_target", dl1)
-    array_kernel.attach_fault_injector(spec, dl1_core)
+    dl1, monitor = array_kernel.build_model(spec, config, mode == "array-soa")
+    config = dl1.config
 
     hierarchy_config = machine.hierarchy
     if spec.icache_error_rate > 0.0 and not hierarchy_config.protected_icache:
@@ -243,15 +230,6 @@ def _run_spec(spec: ExperimentSpec) -> SimulationResult:
             model=spec.error_model,
             seed=derive_stream_seed(spec.error_seed, "l1i"),
         )
-    monitor = None
-    if spec.measure_vulnerability:
-        from repro.reliability.vulnerability import VulnerabilityMonitor
-
-        monitor = VulnerabilityMonitor(dl1_core)
-    if spec.scrub_period is not None:
-        from repro.errors.scrubber import Scrubber
-
-        Scrubber(dl1_core, period=spec.scrub_period)
     pipeline = OutOfOrderPipeline(hierarchy, machine.pipeline)
 
     trace = trace_for(

@@ -74,15 +74,24 @@ def test_backend_mode_tiers():
         "array-batched"
     )
     # dL1 fault injection is cycle-driven too: lockstep, on the SoA cache
-    # with bit-accurate words.  A protected or injected iL1 runs per
-    # access under the object hierarchy.
+    # with bit-accurate words.
     assert mode("ICR-P-PS(S)", error_rate=1e-3) == "array-batched"
     assert mode("BaseECC", error_rate=1e-2, error_model="burst") == "array-batched"
     assert mode("BaseP", scheme_kwargs={"track_data": True}) == "array-batched"
+    # dL1 models without an SoA port run the engine's demand lane:
+    # scrubbing and vulnerability sampling (on ICRCache), hints, non-LRU
+    # replacement and the baselines the registry builds whole.
+    assert mode("ICR-P-PS(S)", error_rate=1e-3, scrub_period=500) == (
+        "array-batched"
+    )
+    assert mode("ICR-P-PS(S)", measure_vulnerability=True) == "array-batched"
+    assert mode("ICR-P-PS(S)", scheme_kwargs={"replacement": "fifo"}) == (
+        "array-batched"
+    )
+    assert mode("rcache") == "array-batched"
+    assert mode("victim-cache") == "array-batched"
+    # A protected or injected iL1 runs per access under the object
+    # hierarchy: on ArrayDL1 where it applies, else on objects.
     assert mode("BaseP", error_rate=1e-3, icache_error_rate=1e-3) == "array-soa"
-    # Scrubbing and vulnerability sampling walk CacheBlocks, and the
-    # non-ICR baselines have no SoA port: they fall back to objects.
-    assert mode("ICR-P-PS(S)", error_rate=1e-3, scrub_period=500) == "object"
-    assert mode("ICR-P-PS(S)", measure_vulnerability=True) == "object"
-    assert mode("rcache") == "object"
-    assert mode("victim-cache") == "object"
+    assert mode("rcache", icache_error_rate=1e-3) == "object"
+    assert mode("BaseP", icache_error_rate=1e-3, scrub_period=500) == "object"

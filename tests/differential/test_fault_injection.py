@@ -255,12 +255,11 @@ def _golden_spec(name, backend):
 def test_fault_injection_golden_under_array_backend(name):
     """The fault-injection pins hold under ``backend="array"``.
 
-    Every non-scrub pin runs on the ``array-batched`` tier; the scrubber
-    walks CacheBlocks, so the scrub pin resolves to the object kernel.
+    Every pin runs on the ``array-batched`` tier; the scrub pin runs its
+    ICRCache (the scrubber walks CacheBlocks) in the demand lane.
     """
     spec = _golden_spec(name, "array")
-    expected_tier = "object" if spec.scrub_period is not None else "array-batched"
-    assert backend_mode(spec) == expected_tier
+    assert backend_mode(spec) == "array-batched"
     pinned = json.loads(pins.GOLDEN_PATH.read_text())
     got = json.loads(json.dumps(run_experiment(spec).to_dict()))
     assert got == pinned[name]

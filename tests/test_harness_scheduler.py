@@ -422,15 +422,15 @@ class TestRunnerSession:
 class TestBackendTierDispatch:
     def test_tier_resolves_per_cell(self):
         # Error-injection cells run on the batched engine in lockstep; a
-        # scrubbing campaign walks CacheBlocks, so its cells fall back
-        # to the object tier rather than refusing the campaign.
+        # scrubbing campaign walks CacheBlocks, so its cells run their
+        # object dL1 in the engine's demand lane.
         config = config_for("small", backend="array")
         for cell in config.cells():
             assert config.trial_mode(cell) == "array-batched"
             assert config.trial_spec(cell, 0, 0).backend == "array"
         scrubbed = config_for("small", backend="array", scrub_period=500)
         for cell in scrubbed.cells():
-            assert scrubbed.trial_mode(cell) == "object"
+            assert scrubbed.trial_mode(cell) == "array-batched"
             assert scrubbed.trial_spec(cell, 0, 0).backend == "array"
 
     def test_array_is_the_default_and_auto_an_alias(self):

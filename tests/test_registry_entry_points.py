@@ -109,10 +109,11 @@ class TestLoading:
         assert result.scheme == "Ext-Runs"
         assert result.dl1["loads"] > 0
 
-    def test_external_scheme_runs_on_the_object_tier(self, fake_entry_points):
+    def test_external_scheme_runs_on_the_batched_tier(self, fake_entry_points):
         # The tier resolver and the executed dispatch are one function:
-        # an external scheme reports the object tier it runs on, so a
-        # default (array-backend) campaign over it completes.
+        # an external scheme reports the batched tier it runs on (its
+        # model goes through the engine's demand lane), so a default
+        # (array-backend) campaign over it completes.
         fake_entry_points.append(
             _FakeEntryPoint("ext", _tiny_entry("Ext-Campaign"))
         )
@@ -125,7 +126,7 @@ class TestLoading:
         spec = ExperimentSpec(
             "gzip", "Ext-Campaign", n_instructions=3000, backend="array"
         )
-        assert backend_mode(spec) == "object"
+        assert backend_mode(spec) == "array-batched"
         config = CampaignConfig(
             benchmarks=("gzip",),
             schemes=("Ext-Campaign",),
