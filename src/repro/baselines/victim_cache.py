@@ -7,7 +7,8 @@ that effect is a dedicated fully-associative *victim cache* that captures
 evicted lines.  This module implements it so the two can be compared:
 how many dL1 misses does each structure catch, and at what area cost?
 
-* The victim cache holds whole evicted lines (dirty state preserved).
+* The victim cache holds whole evicted lines (dirty state preserved);
+  a dirty line it pushes out is written back to L2.
 * A dL1 miss probes it; a hit swaps the line back in 2 cycles (same cost
   we charge ICR's replica fills).
 * ICR's "victim cache" is free — it lives in the dL1's dead space —
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.cache.set_assoc import CacheGeometry
+from repro.cache.set_assoc import CacheGeometry, Eviction
 from repro.core.protocol import DL1Outcome
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.workloads.generator import trace_for
@@ -50,14 +51,22 @@ class VictimCache:
         self._lines: dict[int, tuple[int, bool]] = {}  # addr -> (stamp, dirty)
         self._clock = 0
 
-    def insert(self, block_addr: int, dirty: bool) -> None:
+    def insert(self, block_addr: int, dirty: bool) -> Optional[int]:
+        """Capture an evicted line, pushing out the LRU one when full.
+
+        Returns the block address of a *dirty* line pushed out, which
+        must be written back to the next level, else ``None``.
+        """
         self._clock += 1
+        written_back = None
         if block_addr not in self._lines and len(self._lines) >= self.entries:
             victim = min(self._lines, key=lambda a: self._lines[a][0])
-            del self._lines[victim]
+            if self._lines.pop(victim)[1]:
+                written_back = victim
             self.stats.evictions += 1
         self._lines[block_addr] = (self._clock, dirty)
         self.stats.insertions += 1
+        return written_back
 
     def extract(self, block_addr: int) -> tuple[bool, bool]:
         """Probe for a line; returns (hit, dirty) and removes it on hit."""
@@ -111,18 +120,16 @@ class VictimCacheDL1:
         self.injection_target = self._dl1
         self._dl1.set_evict_hook(self._on_evict)
         self._outer_hook = None
-        self._swap_fill = False
 
     def set_evict_hook(self, hook) -> None:
         self._outer_hook = hook
 
     def _on_evict(self, eviction) -> None:
-        if self._swap_fill:
-            # The line displaced by a victim-cache swap-back also goes to
-            # the victim cache, like a real swap.
-            self.victim_cache.insert(eviction.block_addr, eviction.dirty)
-            return
-        self.victim_cache.insert(eviction.block_addr, eviction.dirty)
+        # Every dL1 victim goes to the victim cache; a dirty line it
+        # pushes out is written back through the hierarchy's hook.
+        written_back = self.victim_cache.insert(eviction.block_addr, eviction.dirty)
+        if written_back is not None and self._outer_hook is not None:
+            self._outer_hook(Eviction(block_addr=written_back, dirty=True))
 
     def access(self, addr: int, is_write: bool, now: int):
         outcome = self._dl1.access(addr, is_write, now)
@@ -134,18 +141,12 @@ class VictimCacheDL1:
             return outcome
         # Swap the line back into the dL1: re-access to allocate, restore
         # its dirty state, and charge the 2-cycle victim-cache latency.
-        self._swap_fill = True
         self._dl1.access(addr, is_write, now)
-        self._swap_fill = False
         block = self._dl1.probe(block_addr)
         if block is not None and dirty:
             block.dirty = True
         self.stats.replica_fills += 1
         return DL1Outcome(hit=False, latency=2, replica_fill=True)
-
-
-#: Backwards-compatible private alias (pre-registry name).
-_VictimCacheDL1 = VictimCacheDL1
 
 
 @dataclass

@@ -4,8 +4,10 @@ import pytest
 
 from repro.baselines.victim_cache import (
     VictimCache,
+    VictimCacheDL1,
     run_victim_cache_baseline,
 )
+from repro.cache.hierarchy import MemoryHierarchy
 
 
 class TestVictimCacheMechanics:
@@ -45,9 +47,31 @@ class TestVictimCacheMechanics:
         vc.insert(3, False)  # evicts 2, not 1
         assert vc.extract(1) == (True, True)
 
+    def test_pushing_out_a_dirty_line_names_it(self):
+        vc = VictimCache(entries=1)
+        assert vc.insert(1, dirty=True) is None
+        assert vc.insert(2, dirty=False) == 1  # dirty: write it back
+        assert vc.insert(3, dirty=False) is None  # clean: just dropped
+
     def test_zero_entries_rejected(self):
         with pytest.raises(ValueError):
             VictimCache(entries=0)
+
+
+class TestWritebacks:
+    def test_dirty_line_pushed_out_of_the_victim_cache_reaches_l2(self):
+        dl1 = VictimCacheDL1(entries=1)
+        h = MemoryHierarchy(dl1)
+        geometry = dl1.geometry
+        stride = geometry.n_sets * geometry.block_size  # same dL1 set
+        h.store(0, 0)
+        for way in range(1, geometry.associativity + 1):
+            h.load(way * stride, 0)  # the last fill sends block 0 to the VC
+        assert dl1.stats.writebacks == 1
+        l2_writes = h.l2.stats.stores
+        h.load((geometry.associativity + 1) * stride, 0)  # pushes block 0 out
+        assert h.l2.stats.stores == l2_writes + 1
+        assert h.l2.probe(0).dirty
 
 
 class TestBaselineRun:
