@@ -61,14 +61,13 @@ class FaultInjector:
         self.probability = probability_per_cycle
         self.model = make_model(model) if isinstance(model, str) else model
         self.rng = random.Random(seed)
-        self._clock = 0
         self._next_strike: Optional[int] = None
         if probability_per_cycle > 0.0:
-            self._next_strike = self._draw_gap()
+            self._next_strike = self._draw_gap(0)
         cache.injector = self
 
-    def _draw_gap(self) -> int:
-        """Geometric gap (in cycles) to the next fault; always >= 1.
+    def _draw_gap(self, start: int) -> int:
+        """Cycle of the next fault: *start* plus a geometric gap >= 1.
 
         Draws come from ``self.rng``, the *same* stream the error model
         uses for its fault sites — one seed pins the whole fault history
@@ -79,21 +78,18 @@ class FaultInjector:
         u = self.rng.random()
         # Inverse-CDF sampling of Geometric(p) on {1, 2, ...}.
         gap = int(math.log(1.0 - u) / math.log(1.0 - self.probability)) + 1
-        return self._clock + max(1, gap)
+        return start + max(1, gap)
 
     def advance(self, now: int) -> int:
-        """Apply every fault scheduled in (clock, now]; returns #flips."""
+        """Apply every fault scheduled up to cycle *now*; returns #flips."""
         if self._next_strike is None:
-            self._clock = max(self._clock, now)
             return 0
         flips = 0
         while self._next_strike <= now:
-            self._clock = self._next_strike
             for site in self.model.sites(self.cache, self.rng):
                 self._apply(site)
                 flips += 1
-            self._next_strike = self._draw_gap()
-        self._clock = max(self._clock, now)
+            self._next_strike = self._draw_gap(self._next_strike)
         return flips
 
     def _apply(self, site: FaultSite) -> None:
