@@ -137,7 +137,6 @@ class MemoryHierarchy:
             block_addr = addr >> self._dl1_block_shift
             stall = self.write_buffer.push(block_addr, now)
             self.stats.write_buffer_stall_cycles += stall
-            self.stats.l2_store_writes += 1
             self.l2.stats.stores += 1
             self.l2.stats.array_writes += 1
             latency += stall

@@ -139,7 +139,6 @@ class HierarchyStats:
     l2: CacheStats = field(default_factory=CacheStats)
     memory_accesses: int = 0
     write_buffer_stall_cycles: int = 0
-    l2_store_writes: int = 0  # write-through traffic reaching L2
 
     def reset(self) -> None:
         """Zero every counter at every level (warm-up exclusion)."""
@@ -148,4 +147,3 @@ class HierarchyStats:
         self.l2.reset()
         self.memory_accesses = 0
         self.write_buffer_stall_cycles = 0
-        self.l2_store_writes = 0

@@ -238,7 +238,7 @@ def test_warmup_window_bit_identical(monkeypatch, scheme, knobs, faults):
         # Every store past the boundary, and only those, reached L2
         # through the write buffer.
         trace = trace_for(profile_for("gzip"), N + warmup, seed_offset=0)
-        assert stats["l2_store_writes"] == trace.op[warmup:].count(OP_STORE)
+        assert stats["l2"]["stores"] == trace.op[warmup:].count(OP_STORE)
         assert stats["write_buffer_stall_cycles"] == result["write_buffer_stalls"]
         assert result["write_buffer_stalls"] > 0
 

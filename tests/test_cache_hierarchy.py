@@ -68,7 +68,7 @@ class TestStores:
     def test_writethrough_store_reaches_l2(self):
         _, h = build("BaseP-WT")
         h.store(0x5000, 0)
-        assert h.stats.l2_store_writes == 1
+        assert h.l2.stats.stores == 1
 
     def test_writethrough_blocks_stay_clean(self):
         dl1, h = build("BaseP-WT")
