@@ -26,8 +26,8 @@ Metrics (higher is better):
     cache disabled, traces pre-generated) on the object kernel, the plain
     reference oracle: pipeline + hierarchy + dL1.
 ``end_to_end_sims_per_sec_array``
-    The same grid under ``backend="array"`` (the struct-of-arrays kernel),
-    measured warm — trace memo, prestage memo and the native phase-2
+    The same grid under ``backend="array"``, which runs every spec with
+    a plain iL1 on the batched engine (``array-batched``), measured warm — trace memo, prestage memo and the native phase-2
     kernel are primed by an untimed pass.  The ratio against the object
     number above is the array kernel's end-to-end speedup.
 ``end_to_end_sims_per_sec_fault``

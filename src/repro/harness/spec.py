@@ -84,9 +84,9 @@ class ExperimentSpec:
     trace_seed: int = 0
     warmup_instructions: int = 0
     icache_error_rate: float = 0.0
-    #: Simulation kernel: "array" (the default: the struct-of-arrays
-    #: kernels of repro.core.array_kernel wherever they support the
-    #: spec, the object kernel elsewhere — see
+    #: Simulation kernel: "array" (the default: the batched engine of
+    #: repro.core.array_kernel for every spec with a plain iL1, the
+    #: object pipeline elsewhere — see
     #: :func:`~repro.core.array_kernel.backend_mode`) or "object" (the
     #: CacheBlock-based reference implementation, the differential
     #: oracle).  Both give bit-identical results.  Participates in
