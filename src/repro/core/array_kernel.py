@@ -20,8 +20,8 @@ semantics in struct-of-arrays form and a batched execution mode:
   ints — per-frame golden values plus a sparse overlay of error
   patterns for the words whose stored cells differ from a fresh
   encoding — and exposes the fault-injection surface
-  (``injector``/``monitor``/``scrubber`` slots and a read-only
-  ``sets[set][way]`` frame view), so the unchanged
+  (``injector``/``monitor``/``scrubber`` slots and the per-frame
+  ``frame_*`` methods), so the unchanged
   :class:`~repro.errors.injector.FaultInjector` and error models drive
   it exactly as they drive the object kernel.  The data bookkeeping
   wraps the inherited state transitions, so the fault-free paths carry
@@ -36,20 +36,22 @@ semantics in struct-of-arrays form and a batched execution mode:
   driving the caches and writing each event's latency into a
   per-instruction buffer; phase 2 replays the exact scoreboard timing
   loop of :class:`~repro.cpu.pipeline.OutOfOrderPipeline` against those
-  buffers.  A plain :class:`ArrayDL1` runs fused hit paths inlined in
-  the phase-1 loop.  Every other dL1 — a :class:`BitAccurateArrayDL1`,
+  buffers.  An :class:`ArrayDL1` runs fused hit and miss paths inlined
+  in the phase-1 loop, and so does a :class:`BitAccurateArrayDL1`
+  under fault injection (the fault lane: due strikes, overlay-word
+  loads and store values are three extra steps).  Every other dL1 —
   an :class:`ICRCache` for hints, non-LRU replacement, scrubbing or
   vulnerability sampling, a model the registry builds whole (rcache,
   victim-cache, external schemes) — runs the *demand lane*: each
   access goes through the model's own ``access``, as under
-  :class:`~repro.cache.hierarchy.MemoryHierarchy`.  With a fused
+  :class:`~repro.cache.hierarchy.MemoryHierarchy`.  With a fault-free
   ArrayDL1, a decay window of 0 or None and a write-back dL1 no
   memory-side decision reads a cycle number, so every access happens
   at now=0 and phase 2 runs once, after phase 1.  A decay window > 0
   (the dead-block predicate reads cycles), a write-through dL1
-  (write-buffer stalls feed back into store latency) or the demand
-  lane (fault injectors and scrubbers run in cycles, and a model may
-  read ``now`` anywhere) runs phase 2 in lockstep instead: the
+  (write-buffer stalls feed back into store latency), bit-accurate
+  words (the fault injector runs in cycles) or the demand lane (a
+  model may read ``now`` anywhere) runs phase 2 in lockstep instead: the
   scoreboard stops at each memory op and hands phase 1 its exact issue
   cycle as ``now``.  The scoreboard is a small compiled kernel
   (:mod:`repro.core._native`, built on first use, ``REPRO_NATIVE=0``
@@ -76,8 +78,9 @@ tests and tools.
 
 from __future__ import annotations
 
+import sys
 from array import array
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -213,7 +216,7 @@ def soa_supported(spec, config: Optional[ICRConfig]) -> bool:
     """May this spec run :class:`ArrayDL1` at all?
 
     Fault injection (``error_rate > 0``) runs on it: the injector and
-    error models drive the kernel's frame view.  Excluded are configs
+    error models drive the kernel's per-frame fault surface.  Excluded are configs
     :func:`kernel_supported` refuses, models the registry builds whole
     (``config`` is ``None``), and the observers that walk every word
     through CacheBlocks — scrubbing and vulnerability sampling.
@@ -1026,7 +1029,9 @@ class BitAccurateArrayDL1(ArrayDL1):
     * a protection switch re-encodes the stored data (:meth:`_reprotect`);
     * a dirty eviction publishes the golden words (:meth:`evict_frame`);
     * a demand store writes the primary and its replicas, and a load hit
-      on an overlay word runs the recovery ladder (:meth:`access`).
+      on an overlay word runs the recovery ladder (:meth:`access`; the
+      batched engine calls :meth:`_store_value` and
+      :meth:`_verified_load` itself).
 
     Each lands in the same state as the matching ``self._track_data``
     branch of ``ICRCache``; ``tests/differential/test_fault_injection.py``
@@ -1232,14 +1237,6 @@ class BitAccurateArrayDL1(ArrayDL1):
             if errors:
                 self._overlay[dst] = errors
 
-    def _flip(self, f: int, word: int, bit: int) -> None:
-        """Inject a transient fault into bit *bit* of one stored word."""
-        if not 0 <= bit < hamming.CODEWORD_BITS:
-            raise ValueError(f"bit index {bit} out of range for a stored word")
-        errors = self._overlay.get(f)
-        error = errors.get(word, 0) if errors is not None else 0
-        self._set_error(f, word, error ^ 1 << bit)
-
     def _verified_load(self, f: int, word: int, error: int) -> int:
         """Port of ``ICRCache._verified_load`` for a word in the overlay.
 
@@ -1290,71 +1287,22 @@ class BitAccurateArrayDL1(ArrayDL1):
         self._set_error(f, word, 0)  # repair to continue the run
         return extra
 
-    # -- fault-injection surface ---------------------------------------
+    # -- fault surface (repro.errors) ----------------------------------
 
-    @cached_property
-    def sets(self) -> list[tuple["_FrameView", ...]]:
-        """Read-only ``sets[set][way]`` view for the fault injector.
+    def frame_protection(self, f: int) -> Optional[ProtectionKind]:
+        """The frame's protection, or ``None`` when it is invalid."""
+        return _KIND[self._prot[f]] if self._valid[f] else None
 
-        Exposes what the error models and ``FaultInjector._apply`` read
-        of a ``CacheBlock`` — ``valid``, ``words``, ``protection``,
-        ``lru_stamp`` — over the live arrays.  Built on the first fault
-        event, never on the demand path.
-        """
-        assoc = self._assoc
-        return [
-            tuple(_FrameView(self, f) for f in range(base, base + assoc))
-            for base in range(0, self._n_frames, assoc)
-        ]
+    def frame_stamp(self, f: int) -> int:
+        return self._lru[f]
 
-
-
-class _FrameView:
-    """One frame, as the error models read a ``CacheBlock``."""
-
-    __slots__ = ("_cache", "_f", "_words")
-
-    def __init__(self, cache: BitAccurateArrayDL1, f: int):
-        self._cache = cache
-        self._f = f
-        self._words: Optional[tuple["_WordView", ...]] = None
-
-    @property
-    def valid(self) -> bool:
-        return self._cache._valid[self._f]
-
-    @property
-    def protection(self) -> ProtectionKind:
-        return _KIND[self._cache._prot[self._f]]
-
-    @property
-    def lru_stamp(self) -> int:
-        return self._cache._lru[self._f]
-
-    @property
-    def words(self) -> Optional[tuple["_WordView", ...]]:
-        """``None`` unless the frame is valid."""
-        cache = self._cache
-        if not cache._valid[self._f]:
-            return None
-        if self._words is None:
-            self._words = tuple(
-                _WordView(cache, self._f, i) for i in range(cache.words_per_block)
-            )
-        return self._words
-
-
-class _WordView:
-    __slots__ = ("_cache", "_f", "_index")
-
-    def __init__(self, cache: BitAccurateArrayDL1, f: int, index: int):
-        self._cache = cache
-        self._f = f
-        self._index = index
-
-    def flip_bit(self, bit: int) -> None:
-        """``ProtectedWord.flip_bit``: *bit* numbers the whole stored word."""
-        self._cache._flip(self._f, self._index, bit)
+    def frame_flip(self, f: int, word: int, bit: int) -> None:
+        """Inject a transient fault into bit *bit* of one stored word."""
+        if not 0 <= bit < hamming.CODEWORD_BITS:
+            raise ValueError(f"bit index {bit} out of range for a stored word")
+        errors = self._overlay.get(f)
+        error = errors.get(word, 0) if errors is not None else 0
+        self._set_error(f, word, error ^ 1 << bit)
 
 
 # ---------------------------------------------------------------------------
@@ -1651,28 +1599,43 @@ def run_batched(spec, profile, config: Optional[ICRConfig], machine):
         fu_specs, width, ruu_size, lsq_size, penalty,
     )
 
-    # The dL1 lane.  A plain ArrayDL1 runs the fused paths below, with
-    # its hot state bound to locals.  Every other model — a bit-accurate
-    # ArrayDL1, an ICRCache for the features ArrayDL1 lacks, a model the
-    # registry builds whole — runs the *demand lane*: an empty tag map
-    # keeps it off the fused hit paths, and the miss branch hands every
-    # access to its own ``access``, which counts it, runs its observers
-    # (injector, scrubber, monitor) and returns a DL1Outcome.
-    fused = type(dl1) is ArrayDL1
+    # The dL1 lane.  An ArrayDL1 runs the fused paths below, with its hot
+    # state bound to locals; so does a bit-accurate one whose only
+    # observer is the fault injector (scrubbers and monitors read every
+    # access).  Its extra work rides on the ``bitacc`` flag, the one
+    # test the plain paths pay (timed ones also compare each stamp with
+    # a strike stamp that is never due): a load hit on a word in the
+    # overlay runs the recovery ladder, a store writes its value into
+    # the primary and its replicas, and an access stamped at or past the
+    # injector's next strike applies the strikes first.  Faults land
+    # only inside ``advance``, so calling it at those accesses alone
+    # applies each strike where a call per access would.
+    # Every other model — an ICRCache for the features ArrayDL1 lacks,
+    # a model the registry builds whole — runs the *demand lane*: an
+    # empty tag map keeps it off the fused hit paths, and the miss
+    # branch hands every access to its own ``access``, which counts it,
+    # runs its observers (injector, scrubber, monitor) and returns a
+    # DL1Outcome.
+    bitacc = (
+        type(dl1) is BitAccurateArrayDL1
+        and dl1.scrubber is None
+        and dl1.monitor is None
+    )
+    fused = bitacc or type(dl1) is ArrayDL1
 
     # Cycle stamps.  A decay window > 0 makes the dead-block predicate
     # read cycle numbers, and a write-through dL1 feeds write-buffer
     # stalls back into store latency; both need each access's issue
-    # cycle, and so does every demand-lane model (fault injectors and
-    # scrubbers run in cycles, and a model may read ``now`` anywhere).
-    # Then phase 2 runs in lockstep with phase 1: stamp(i) runs the
-    # scoreboard up to memory op i and returns its issue cycle.  That
-    # cycle depends only on the latencies of the instructions before i,
-    # which phase 1 has already written, so by induction over program
-    # order every stamp is the sequential pipeline's.  Other specs never
-    # ask for a stamp: every access happens at now=0, and phase 2 runs
-    # to the end in one call after phase 1.
-    timed = not fused or (
+    # cycle, and so do bit-accurate words (the fault injector runs in
+    # cycles) and every demand-lane model (a model may read ``now``
+    # anywhere).  Then phase 2 runs in lockstep with phase 1: stamp(i)
+    # runs the scoreboard up to memory op i and returns its issue cycle.
+    # That cycle depends only on the latencies of the instructions
+    # before i, which phase 1 has already written, so by induction over
+    # program order every stamp is the sequential pipeline's.  Other
+    # specs never ask for a stamp: every access happens at now=0, and
+    # phase 2 runs to the end in one call after phase 1.
+    timed = type(dl1) is not ArrayDL1 or (
         config.decay_window is not None and config.decay_window > 0
     )
     writethrough = dl1.write_policy == "writethrough"
@@ -1682,6 +1645,12 @@ def run_batched(spec, profile, config: Optional[ICRConfig], machine):
         if stamp is None:
             stamp = _phase2_python(*twin_args)
     now = 0
+    # The stamp of the fused lane's next strike; never due otherwise.
+    injector = dl1.injector if bitacc else None
+    due = sys.maxsize
+    if injector is not None and injector.next_strike is not None:
+        due = injector.next_strike
+        advance = injector.advance
 
     # ---- phase 1: program-order memory pass ---------------------------
     # The loop below is the fused fast path of the program-order engine.
@@ -1728,6 +1697,12 @@ def run_batched(spec, profile, config: Optional[ICRConfig], machine):
     else:
         dtag_get = {}.get
         dl1_access = dl1.access
+    if bitacc:
+        dtag_index = dl1._tag_index
+        doverlay_get = dl1._overlay.get
+        verified_load = dl1._verified_load
+        store_value = dl1._store_value
+        word_mask = dl1._word_mask
     d_loads = d_stores = d_probes = d_lhits = d_shits = 0
     d_reads = d_writes = d_pchecks = d_pgens = d_echecks = d_egens = 0
     d_lhits_rep = d_rupdates = d_silent = 0
@@ -1787,6 +1762,9 @@ def run_batched(spec, profile, config: Optional[ICRConfig], machine):
         if op == OP_LOAD:
             if timed:
                 now = stamp(idx)
+                if now >= due:
+                    advance(now)
+                    due = injector.next_strike
             addr = addrs[idx]
             ba = addr >> dl1_shift
             f = dtag_get(ba, -1)
@@ -1809,9 +1787,18 @@ def run_batched(spec, profile, config: Optional[ICRConfig], machine):
                         # PP reads primary and replica together.
                         d_reads += 1
                         d_pchecks += 1
-                    exec_lat[idx] = lat_rep
+                    latency = lat_rep
                 else:
-                    exec_lat[idx] = lat_unrep
+                    latency = lat_unrep
+                if bitacc:
+                    # A word in the overlay differs from its golden value
+                    # under a fresh code: the recovery ladder reads it.
+                    errors = doverlay_get(f)
+                    if errors is not None:
+                        word = (addr >> 3) & word_mask
+                        if word in errors:
+                            latency += verified_load(f, word, errors[word])
+                exec_lat[idx] = latency
             else:
                 if fused:
                     d_loads += 1
@@ -1838,6 +1825,9 @@ def run_batched(spec, profile, config: Optional[ICRConfig], machine):
         elif op == OP_STORE:
             if timed:
                 now = stamp(idx)
+                if now >= due:
+                    advance(now)
+                    due = injector.next_strike
             addr = addrs[idx]
             ba = addr >> dl1_shift
             f = dtag_get(ba, -1)
@@ -1884,6 +1874,8 @@ def run_batched(spec, profile, config: Optional[ICRConfig], machine):
                         dl1._lru_clock = d_lru_clock
                         dl1_replicate(f, now)
                         d_lru_clock = dl1._lru_clock
+                    if bitacc:
+                        store_value(f, (addr >> 3) & word_mask)
             else:
                 # Write-allocate: a store miss brings the line in off
                 # the critical path (L2 traffic only; the pipeline sees
@@ -1899,6 +1891,8 @@ def run_batched(spec, profile, config: Optional[ICRConfig], machine):
                     else:
                         fill_from_replica(r, True, now)
                     d_lru_clock = dl1._lru_clock
+                    if bitacc:
+                        store_value(dtag_index[ba], (addr >> 3) & word_mask)
                 else:
                     missed = dl1_access(addr, True, now).latency is None
                 if missed and not l2_access(addr, False):

@@ -80,8 +80,10 @@ class ICRCache(SetAssociativeCache):
         # candidate table instead of the home-pure distance lists.
         self._ring = self.replication_policy.ring
         self._evict_hook: Optional[Callable[[Eviction], None]] = None
-        # Fault injection (attached by repro.errors.injector).
+        # Fault injection (attached by repro.errors.injector), which
+        # reaches lines through the frame_* surface below.
         self.injector = None
+        self._frames = [block for ways in self.sets for block in ways]
         # Optional observer with an ``observe(now)`` method, called at the
         # start of every demand access (repro.reliability attaches here).
         self.monitor = None
@@ -265,6 +267,24 @@ class ICRCache(SetAssociativeCache):
     def _next_store_value(self) -> int:
         self._store_seq += 1
         return (self._store_seq * 0xD1B54A32D192ED03) & ((1 << 64) - 1)
+
+    # ------------------------------------------------------------------
+    # fault surface (repro.errors): frame = set_index * assoc + way
+    # ------------------------------------------------------------------
+
+    def frame_protection(self, frame: int) -> Optional[ProtectionKind]:
+        """The line's protection, or ``None`` when it holds no words."""
+        block = self._frames[frame]
+        if not block.valid or block.words is None:
+            return None
+        return block.protection
+
+    def frame_stamp(self, frame: int) -> int:
+        return self._frames[frame].lru_stamp
+
+    def frame_flip(self, frame: int, word: int, bit: int) -> None:
+        """Flip bit *bit* of one stored word (a frame holding words)."""
+        self._frames[frame].words[word].flip_bit(bit)
 
     # ------------------------------------------------------------------
     # energy event counting

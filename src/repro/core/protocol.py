@@ -109,7 +109,9 @@ class InjectionTarget(Protocol):
       (:class:`repro.errors.scrubber.Scrubber`).
 
     All three slots are ``None`` until attached; the model must consult
-    them on its demand path when they are set.
+    them on its demand path when they are set.  The fault injector also
+    reaches lines through a per-frame fault surface (``frame_protection``,
+    ``frame_stamp``, ``frame_flip``; see :mod:`repro.errors.models`).
     """
 
     injector: object

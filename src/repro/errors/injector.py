@@ -8,10 +8,14 @@ trials with probability *p* — and applies the configured error model's
 fault sites when the simulated clock passes each strike time.
 
 The injector attaches to any cache built with ``track_data=True`` that
-exposes the ``InjectionTarget`` slots and a ``sets[set][way]`` line view
-— the object kernel's :class:`~repro.core.icr_cache.ICRCache` or the
-SoA kernel's :class:`~repro.core.array_kernel.BitAccurateArrayDL1`; the cache
-calls :meth:`advance` at the start of every demand access.
+exposes the ``InjectionTarget`` slots and the per-frame fault surface
+(:mod:`repro.errors.models`) — the object kernel's
+:class:`~repro.core.icr_cache.ICRCache` or the SoA kernel's
+:class:`~repro.core.array_kernel.BitAccurateArrayDL1`.  A cache calls
+:meth:`advance` at the start of every demand access; the batched engine
+calls it only for the accesses at or past :attr:`FaultInjector.next_strike`,
+which is the same fault history, since strikes land only inside
+:meth:`advance`.
 """
 
 from __future__ import annotations
@@ -61,9 +65,12 @@ class FaultInjector:
         self.probability = probability_per_cycle
         self.model = make_model(model) if isinstance(model, str) else model
         self.rng = random.Random(seed)
-        self._next_strike: Optional[int] = None
+        self._assoc = cache.geometry.associativity
+        #: Cycle of the next strike (``None``: the probability is 0).
+        #: No fault lands before :meth:`advance` reaches it.
+        self.next_strike: Optional[int] = None
         if probability_per_cycle > 0.0:
-            self._next_strike = self._draw_gap(0)
+            self.next_strike = self._draw_gap(0)
         cache.injector = self
 
     def _draw_gap(self, start: int) -> int:
@@ -82,25 +89,26 @@ class FaultInjector:
 
     def advance(self, now: int) -> int:
         """Apply every fault scheduled up to cycle *now*; returns #flips."""
-        if self._next_strike is None:
+        if self.next_strike is None:
             return 0
         flips = 0
-        while self._next_strike <= now:
+        while self.next_strike <= now:
             for site in self.model.sites(self.cache, self.rng):
                 self._apply(site)
                 flips += 1
-            self._next_strike = self._draw_gap(self._next_strike)
+            self.next_strike = self._draw_gap(self.next_strike)
         return flips
 
     def _apply(self, site: FaultSite) -> None:
         """Flip one stored bit, honouring the word's protection layout."""
-        block = self.cache.sets[site.set_index][site.way]
-        if not block.valid or block.words is None:
+        cache = self.cache
+        frame = site.set_index * self._assoc + site.way
+        if cache.frame_protection(frame) is None:
             return
-        if site.word_index >= len(block.words):
+        if site.word_index >= cache.words_per_block:
             return
-        self.cache.stats.errors_injected += 1
-        block.words[site.word_index].flip_bit(site.bit)
+        cache.stats.errors_injected += 1
+        cache.frame_flip(frame, site.word_index, site.bit)
 
     def force_fault(self, site: FaultSite) -> None:
         """Apply a specific fault immediately (deterministic tests)."""
