@@ -132,19 +132,20 @@ class VictimCacheDL1:
             self._outer_hook(Eviction(block_addr=written_back, dirty=True))
 
     def access(self, addr: int, is_write: bool, now: int):
-        outcome = self._dl1.access(addr, is_write, now)
-        if outcome.hit or outcome.latency is not None:
-            return outcome
         block_addr = self.geometry.block_addr(addr)
+        if self._dl1.peek(block_addr) is not None:
+            return self._dl1.access(addr, is_write, now)
+        # A dL1 miss.  Probe the victim cache before the miss allocates:
+        # the line the fill displaces goes into the victim cache, and in
+        # a full one it would push out the very line being swapped back.
         hit, dirty = self.victim_cache.extract(block_addr)
+        outcome = self._dl1.access(addr, is_write, now)
         if not hit:
             return outcome
-        # Swap the line back into the dL1: re-access to allocate, restore
-        # its dirty state, and charge the 2-cycle victim-cache latency.
-        self._dl1.access(addr, is_write, now)
-        block = self._dl1.probe(block_addr)
-        if block is not None and dirty:
-            block.dirty = True
+        # The swap: the miss brought the line into the dL1; restore its
+        # dirty state and charge the 2-cycle victim-cache latency.
+        if dirty:
+            self._dl1.peek(block_addr).dirty = True
         self.stats.replica_fills += 1
         return DL1Outcome(hit=False, latency=2, replica_fill=True)
 

@@ -108,8 +108,12 @@ class SetAssociativeCache:
     # -- primitives --------------------------------------------------------
 
     def probe(self, block_addr: int) -> Optional[CacheBlock]:
-        """Find the primary copy of *block_addr*, without side effects."""
+        """Find the primary copy of *block_addr*, counting one tag probe."""
         self.stats.tag_probes += 1
+        return self.peek(block_addr)
+
+    def peek(self, block_addr: int) -> Optional[CacheBlock]:
+        """Find the primary copy of *block_addr*, without side effects."""
         block = self._tag_index.get(block_addr)
         if (
             block is not None

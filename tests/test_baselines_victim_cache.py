@@ -74,6 +74,44 @@ class TestWritebacks:
         assert h.l2.probe(0).dirty
 
 
+class TestSwapBack:
+    def test_a_full_victim_cache_keeps_the_line_it_swaps_back(self):
+        dl1 = VictimCacheDL1(entries=1)
+        geometry = dl1.geometry
+        stride = geometry.n_sets * geometry.block_size  # same dL1 set
+        for way in range(geometry.associativity + 1):
+            dl1.access(way * stride, False, 0)  # the last fill sends 0 to the VC
+        # Missing on block 0 displaces another line into the full VC;
+        # the swap must still bring block 0 back from it.
+        outcome = dl1.access(0, False, 0)
+        assert outcome.replica_fill and outcome.latency == 2
+        assert dl1.victim_cache.stats.hits == 1
+        assert dl1.victim_cache.extract(geometry.block_addr(stride))[0]
+
+    def test_a_swap_restores_the_dirty_state(self):
+        dl1 = VictimCacheDL1(entries=2)
+        geometry = dl1.geometry
+        stride = geometry.n_sets * geometry.block_size
+        dl1.access(0, True, 0)
+        for way in range(1, geometry.associativity + 1):
+            dl1.access(way * stride, False, 0)
+        assert dl1.access(0, False, 0).replica_fill
+        assert dl1.injection_target.peek(0).dirty
+
+    def test_one_dl1_access_per_memory_op(self):
+        from repro.harness.experiment import run_experiment
+        from repro.harness.spec import ExperimentSpec
+
+        result = run_experiment(
+            ExperimentSpec.from_kwargs("mcf", "victim-cache", n_instructions=10_000)
+        )
+        assert result.dl1["replica_fills"] > 0  # swaps happened
+        assert (
+            result.dl1["loads"] + result.dl1["stores"]
+            == result.pipeline.loads + result.pipeline.stores
+        )
+
+
 class TestBaselineRun:
     def test_produces_result(self):
         result = run_victim_cache_baseline("gzip", n_instructions=20_000)
