@@ -1,11 +1,11 @@
 """Deterministic fault injection for the execution stack.
 
 ``repro.chaos`` turns the harness's own failure modes — killed workers,
-corrupted cache entries, torn checkpoints, dead lease holders, full
-disks, a server restarted mid-campaign — into scheduled, seeded,
-reproducible events, and the chaos suite then pins the recovery
-contract: a campaign run under a :class:`FaultPlan` must produce a
-final report **byte-identical** to the undisturbed run.
+corrupted cache entries, torn checkpoints, full disks, a server
+restarted mid-campaign — into scheduled, seeded, reproducible events,
+and the chaos suite then pins the recovery contract: a campaign run
+under a :class:`FaultPlan` must produce a final report
+**byte-identical** to the undisturbed run.
 
 Layout:
 

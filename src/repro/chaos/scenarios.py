@@ -23,7 +23,6 @@ Run via ``repro-icr chaos`` or ``tests/chaos/``.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -35,7 +34,7 @@ from typing import Callable, Optional
 from repro import recovery
 from repro.chaos import runtime
 from repro.chaos.plan import FaultPlan
-from repro.harness.cache import FileLease, ResultCache
+from repro.harness.cache import ResultCache
 from repro.harness.campaign import CampaignConfig, CampaignEngine
 from repro.harness.runner import ParallelRunner
 
@@ -234,36 +233,6 @@ def scenario_disk_full(ctx: ScenarioContext) -> str:
     )
 
 
-def scenario_lease_takeover(ctx: ScenarioContext) -> str:
-    """A dead engine's stale lease blocks a cell; the engine must
-    break it, take the cell over, and produce the identical report."""
-    config = _config(ctx.seed)
-    ref, _ = _run_report(config, ctx.workdir / "ref-cache")
-    share = ctx.workdir / "share"
-    (share / "leases").mkdir(parents=True, exist_ok=True)
-    runner = ParallelRunner(
-        jobs=1, cache=ResultCache(cache_dir=ctx.workdir / "chaos-cache")
-    )
-    engine = CampaignEngine(
-        config,
-        runner,
-        share_dir=share,
-        lease_ttl=5.0,
-    )
-    cell = config.cells()[0]
-    lease_path = share / "leases" / f"{engine._cell_hash(cell)}.lease"
-    ghost = FileLease(lease_path, "ghost:dead:0", ttl=5.0)
-    _check(ghost.acquire(), "could not stage the ghost lease")
-    stale = time.time() - 120.0
-    os.utime(lease_path, times=(stale, stale))
-    before = recovery.counter("lease_takeovers")
-    report = engine.run().to_json()
-    takeovers = recovery.counter("lease_takeovers") - before
-    _check(takeovers >= 1, "the stale lease was never broken")
-    _check(report == ref, "report diverged after the lease takeover")
-    return f"{takeovers} stale lease(s) taken over, report identical"
-
-
 _SERVER_SCRIPT = """\
 import asyncio
 import sys
@@ -415,7 +384,6 @@ SCENARIOS: dict[str, Callable[[ScenarioContext], str]] = {
     "forced-timeout": scenario_forced_timeout,
     "torn-checkpoint": scenario_torn_checkpoint,
     "disk-full": scenario_disk_full,
-    "lease-takeover": scenario_lease_takeover,
     "service-restart": scenario_service_restart,
 }
 

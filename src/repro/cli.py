@@ -267,14 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="cap on queued+running trials (default 4x the worker count)",
     )
-    campaign.add_argument(
-        "--share-dir",
-        default=None,
-        metavar="DIR",
-        help="cooperate with other engines through "
-        "lease/record files in DIR (they partition the cell grid and "
-        "warm each other's caches)",
-    )
     _add_backend_flag(campaign)
     _add_runner_flags(campaign)
 
@@ -538,7 +530,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         trial_log_path=args.trial_log,
         verbose=True,
         max_inflight=args.max_inflight,
-        share_dir=args.share_dir,
     )
     if engine.resumed:
         print("[campaign] resumed from checkpoint", file=sys.stderr)
@@ -555,7 +546,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _telemetry_line(t: dict) -> str:
     """One stderr line of engine telemetry after a campaign."""
-    line = (
+    return (
         f"[campaign] {t['trials_committed']} committed · "
         f"{t['checkpoint_writes']} checkpoint writes · "
         f"{t['utilization'] * 100:.0f}% util · "
@@ -563,12 +554,6 @@ def _telemetry_line(t: dict) -> str:
         f"{t['cancelled_savings']} cancelled · "
         f"{t['speculative_duplicates']} dups"
     )
-    if t["records_adopted"] or t["helper_trials"]:
-        line += (
-            f" · {t['records_adopted']} adopted · "
-            f"{t['helper_trials']} helper trials"
-        )
-    return line
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -33,8 +33,6 @@ import hashlib
 import json
 import os
 import threading
-import time
-import uuid
 from collections import OrderedDict
 from functools import lru_cache
 from pathlib import Path
@@ -134,166 +132,6 @@ def result_to_dict(result: SimulationResult) -> dict:
 def result_from_dict(data: dict) -> SimulationResult:
     """Inverse of :func:`result_to_dict` (raises on malformed input)."""
     return SimulationResult.from_dict(data)
-
-
-class FileLease:
-    """An advisory, TTL-bounded claim on a shared resource.
-
-    The multi-host campaign engine uses one lease file per campaign
-    cell: an engine that wants to run a cell's trials must hold its
-    lease, so two engines pointed at the same checkpoint/cache
-    directory partition the grid between themselves instead of
-    duplicating work.  The protocol is deliberately minimal and crash
-    tolerant:
-
-    * **Claim** — create the lease file with ``O_CREAT | O_EXCL`` (the
-      one atomic primitive every shared filesystem offers) and write
-      the owner's identity into it.
-    * **Renew** — the holder refreshes the file's mtime on a heartbeat;
-      a lease whose mtime is older than *ttl* seconds is *stale*.
-    * **Takeover** — anyone may break a stale lease: atomically
-      ``rename`` it aside (exactly one racer's rename succeeds; the
-      losers see ``FileNotFoundError`` and fall back to racing the
-      ``O_EXCL`` create), then race for a fresh create.  At most one
-      racer wins; the dead holder's work is recoverable because all
-      trial results live in the content-addressed cache and committed
-      records in the published cell files.
-    * **Release** — the holder unlinks the file (only while the file
-      still names it as owner, so a takeover is never clobbered).
-
-    Leases are advisory: they order *scheduling*, not correctness —
-    even two engines running the same cell concurrently converge on
-    identical records because trials are deterministic and
-    content-addressed.
-    """
-
-    def __init__(self, path: Union[str, Path], owner: str, *, ttl: float = 30.0):
-        self.path = Path(path)
-        self.owner = owner
-        self.ttl = ttl
-
-    # -- state probes -----------------------------------------------------
-
-    def holder(self) -> Optional[str]:
-        """The current owner id, or None when unclaimed/unreadable."""
-        try:
-            data = json.loads(self.path.read_text())
-            return data.get("owner")
-        except (OSError, ValueError):
-            return None
-
-    def is_stale(self) -> bool:
-        """True when the lease exists but stopped being renewed."""
-        try:
-            age = time.time() - self.path.stat().st_mtime
-        except OSError:
-            return False
-        return age > self.ttl
-
-    def held(self) -> bool:
-        """True while this instance's owner id is on the lease file."""
-        return self.holder() == self.owner
-
-    # -- protocol ---------------------------------------------------------
-
-    def acquire(self, *, break_stale: bool = True) -> bool:
-        """Try to claim the lease; True when this owner now holds it."""
-        if self.held():
-            self.renew()
-            return True
-        for _ in range(2):  # second try: after breaking a stale lease
-            try:
-                fd = os.open(
-                    self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-                )
-            except FileExistsError:
-                if not (break_stale and self.is_stale()):
-                    return False
-                if not self._break_stale():
-                    return False
-                continue
-            except OSError:
-                return False
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps({"owner": self.owner, "pid": os.getpid()}))
-            # Post-create verification of the owner token.  The O_EXCL
-            # create is the authoritative claim, but verifying that the
-            # file still names us closes any future regression toward
-            # the old unlink-based breaking, where a slow racer could
-            # unlink *our* fresh lease and create its own over it.
-            if self.holder() != self.owner:
-                return False
-            return True
-        return False
-
-    def _break_stale(self) -> bool:
-        """Atomically retire a stale lease file; True when the caller
-        may race for the ``O_EXCL`` create.
-
-        The old protocol (``unlink`` then create) had a double-takeover
-        race: engines A and B both observe the stale lease, A unlinks
-        and creates its fresh lease, then B's queued unlink removes
-        *A's* lease and B creates its own — two holders.  Breaking via
-        ``os.rename`` to a unique graveyard name closes it: exactly one
-        racer's rename succeeds (the losers get ``FileNotFoundError``
-        and fall through to the create race, where ``O_EXCL`` arbitrates),
-        and a fresh lease can never be swept away because only the
-        *stale* file is ever moved.
-        """
-        grave = self.path.with_name(
-            f"{self.path.name}.broken.{uuid.uuid4().hex[:8]}"
-        )
-        try:
-            os.rename(self.path, grave)
-        except FileNotFoundError:
-            return True  # another racer broke it first; race for the create
-        except OSError:
-            return False
-        # rename preserves mtime: confirm the file we retired really was
-        # stale.  A renew may have landed between is_stale() and the
-        # rename — in that case try to put the live lease back (link
-        # fails harmlessly if a new claim already took the slot).
-        try:
-            age = time.time() - grave.stat().st_mtime
-        except OSError:
-            age = self.ttl + 1.0
-        if age <= self.ttl:
-            try:
-                os.link(grave, self.path)
-            except OSError:
-                pass
-            try:
-                grave.unlink()
-            except OSError:
-                pass
-            return False
-        try:
-            grave.unlink()
-        except OSError:
-            pass
-        recovery.count("lease_takeovers")
-        recovery.warn(
-            "lease", f"broke stale lease {self.path.name} (holder presumed dead)"
-        )
-        return True
-
-    def renew(self) -> bool:
-        """Heartbeat: refresh the mtime while we still own the lease."""
-        if not self.held():
-            return False
-        try:
-            os.utime(self.path)
-        except OSError:
-            return False
-        return True
-
-    def release(self) -> None:
-        """Give the lease up (no-op if somebody else took it over)."""
-        if self.held():
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
 
 
 class ResultCache:

@@ -60,14 +60,6 @@ Design points, in the order a long campaign meets them:
     speculative and a cell's batches run one after another;
   - aggregation (bootstrap CIs included) is deterministic given the
     records, and the report sorts records by ``(index, attempt)``.
-* **Multi-host cooperation** (``share_dir=``).  Engines pointed at the
-  same share directory claim cells one at a time through TTL-bounded
-  :class:`~repro.harness.cache.FileLease` files, publish their
-  committed records as they go, adopt each other's published records,
-  take over stale leases after a crash, and — when every remaining cell
-  is owned by a live peer — run *helper* trials that warm the shared
-  result cache without committing anything.  One committer per cell
-  keeps the determinism argument intact.
 """
 
 from __future__ import annotations
@@ -75,10 +67,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import socket
 import sys
 import time
-import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -88,7 +78,6 @@ from typing import Any, Mapping, Optional, Union
 from repro import recovery
 from repro.chaos import runtime as _chaos
 from repro.core.registry import normalize_scheme_name, scheme_info
-from repro.harness.cache import FileLease
 from repro.harness.report import format_table
 from repro.harness.runner import ParallelRunner, RunnerError
 from repro.harness.spec import ExperimentSpec, MachineConfig
@@ -430,6 +419,17 @@ class CampaignReport:
     digest: str
     outcomes: list[CellOutcome]
     complete: bool = True
+    _summaries: Optional[list] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _cell_summaries(self) -> list[dict]:
+        """Each outcome's :meth:`CellOutcome.summary`, computed once per
+        report: the bootstrap CIs behind them are the report's whole
+        cost, and ``to_json``/``to_dict``/``to_table`` all read them."""
+        if self._summaries is None:
+            self._summaries = [o.summary(self.config) for o in self.outcomes]
+        return self._summaries
 
     def to_dict(self) -> dict:
         return {
@@ -438,7 +438,10 @@ class CampaignReport:
             "complete": self.complete,
             "cells": [
                 {
-                    **outcome.summary(self.config),
+                    **summary,
+                    "metrics": {
+                        name: dict(ci) for name, ci in summary["metrics"].items()
+                    },
                     "records": [
                         r.to_dict()
                         for r in sorted(
@@ -446,7 +449,7 @@ class CampaignReport:
                         )
                     ],
                 }
-                for outcome in self.outcomes
+                for summary, outcome in zip(self._cell_summaries(), self.outcomes)
             ],
         }
 
@@ -464,8 +467,7 @@ class CampaignReport:
         if have_avf:
             columns += ["avf_mean", "avf_lo", "avf_hi"]
         rows = []
-        for outcome in self.outcomes:
-            summary = outcome.summary(self.config)
+        for summary in self._cell_summaries():
             ulf = summary["metrics"].get("unrecoverable_load_fraction")
             row = [
                 summary["benchmark"],
@@ -525,7 +527,6 @@ class _CellRun:
 
     cell: Cell
     done: bool = False
-    owned: bool = True
     next_submit: int = 0
     #: (index, attempt) pairs waiting to be resubmitted after a failure.
     retries: deque = field(default_factory=deque)
@@ -537,17 +538,8 @@ class _CellRun:
     inflight: dict = field(default_factory=dict)
     #: (index, attempt) -> TrialHandle for speculative duplicates.
     dups: dict = field(default_factory=dict)
-    #: Outstanding helper handles (unowned cells, cache warming only).
-    helpers: list = field(default_factory=list)
     #: Committed count the stopping rule was last evaluated at (memo).
     checked: int = -1
-    lease: Optional[FileLease] = None
-    #: Next index a helper trial would warm for this (unowned) cell.
-    helper_next: int = 0
-    #: Record count at the last publish (skip no-op publishes).
-    published: int = -1
-    #: monotonic time of the last failed lease-claim attempt (throttle).
-    last_claim: float = -1e9
 
 
 class CampaignEngine:
@@ -594,13 +586,6 @@ class CampaignEngine:
         launched against it; ``None`` auto-tunes to 4x the observed
         median latency (and disables duplication until 8 latencies are
         seen).  Duplication needs a real pool (``workers > 1``).
-    share_dir:
-        Directory shared between cooperating engines (lease + published
-        record files).  ``None`` (default) disables cooperation.
-    lease_ttl / coop_interval:
-        Lease staleness horizon and the cadence of renew/publish/adopt
-        ticks; keep ``lease_ttl`` several multiples of
-        ``coop_interval``.
     """
 
     def __init__(
@@ -618,9 +603,6 @@ class CampaignEngine:
         max_inflight: Optional[int] = None,
         lookahead_batches: int = 2,
         speculate_after: Optional[float] = None,
-        share_dir: Union[str, Path, None] = None,
-        lease_ttl: float = 30.0,
-        coop_interval: float = 0.5,
     ):
         self.config = config
         self.runner = runner if runner is not None else ParallelRunner(jobs=1)
@@ -640,12 +622,6 @@ class CampaignEngine:
         )
         self.lookahead_batches = max(0, lookahead_batches)
         self.speculate_after = speculate_after
-        self.share_dir = Path(share_dir) if share_dir else None
-        self.lease_ttl = lease_ttl
-        self.coop_interval = coop_interval
-        self.owner_id = (
-            f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
-        )
         self.digest = config.digest()
         self.outcomes: dict[Cell, CellOutcome] = {
             cell: CellOutcome(cell, []) for cell in config.cells()
@@ -659,11 +635,6 @@ class CampaignEngine:
         self.duplicate_submits = 0
         self.cancelled_savings = 0
         self.discarded_results = 0
-        self.records_adopted = 0
-        self.helper_submits = 0
-        self.helper_completed = 0
-        self.helper_warmed = 0
-        self.lease_takeovers = 0
         #: Ordered trace of ("submit", cell_id, index, attempt, kind)
         #: and ("cell-done", cell_id) events — the zero-trials-after-
         #: convergence test reads this.
@@ -676,7 +647,6 @@ class CampaignEngine:
         self._order: list = []
         self._rr = 0
         self._commits = 0
-        self._last_coop = -1e9
         self._dirty_records = 0
         self._last_checkpoint = time.monotonic()
         if self.checkpoint_path is not None:
@@ -826,7 +796,6 @@ class CampaignEngine:
         stop is marked ``complete=False``.
         """
         t0 = time.monotonic()
-        coop = self.share_dir is not None
         self._cells = {cell: _CellRun(cell) for cell in self.config.cells()}
         self._order = list(self._cells.values())
         self._rr = 0
@@ -834,12 +803,7 @@ class CampaignEngine:
         for cs in self._order:
             outcome = self.outcomes[cs.cell]
             cs.next_submit = self._next_index(outcome)
-            cs.helper_next = cs.next_submit
-            cs.owned = not coop
             self._drain(cs, None)  # checkpointed records may finish a cell
-        if coop:
-            (self.share_dir / "leases").mkdir(parents=True, exist_ok=True)
-            (self.share_dir / "cells").mkdir(parents=True, exist_ok=True)
         session = self.runner.session(workers=self.workers)
         last_cell = None
         try:
@@ -849,32 +813,17 @@ class CampaignEngine:
                         break
                     if max_trials is not None and self._commits >= max_trials:
                         break
-                    if coop:
-                        self._coop_tick(session)
                     self._dispatch(session, last_cell)
                     last_cell = None
-                    handle = session.next_completed(
-                        timeout=self.coop_interval if coop else None
-                    )
+                    handle = session.next_completed()
                     if handle is None:
-                        if session.outstanding() == 0:
-                            if not coop:
-                                break  # defensive: nothing runnable
-                            time.sleep(min(0.05, self.coop_interval))
-                        continue
+                        break  # defensive: nothing runnable
                     last_cell = handle.tag[0]
                     self._on_complete(session, handle)
         finally:
-            try:
-                if coop:
-                    for cs in self._order:
-                        if cs.owned:
-                            self._publish(cs)
-                            self._release(cs)
-            finally:
-                self._submit_times.clear()
-                self._maybe_checkpoint(force=True)
-                self._run_elapsed += time.monotonic() - t0
+            self._submit_times.clear()
+            self._maybe_checkpoint(force=True)
+            self._run_elapsed += time.monotonic() - t0
         return self.report()
 
     # -- dispatch ---------------------------------------------------------
@@ -885,7 +834,6 @@ class CampaignEngine:
         The first refill after a completion prefers the cell that just
         freed the slot; serving any other cell instead is counted as a
         steal.  Once regular work runs dry the dispatcher falls back to
-        claiming an unowned cell (multi-host), helper trials, then
         speculative duplication of stragglers.
         """
         prefer = freed_cell
@@ -896,12 +844,7 @@ class CampaignEngine:
             picked = self._next_work(prefer)
             prefer = None
             if picked is None:
-                if self.share_dir is not None and self._claim_one(session):
-                    continue
-                if self._maybe_helper(session):
-                    continue
-                if self._maybe_duplicate(session):
-                    return  # at most one duplicate per dispatch pass
+                self._maybe_duplicate(session)  # at most one per pass
                 return
             cs, index, attempt = picked
             kind = "trial"
@@ -915,7 +858,7 @@ class CampaignEngine:
 
     def _cell_work(self, cs: _CellRun):
         """The cell's next (index, attempt), or None (retries first)."""
-        if cs.done or not cs.owned:
+        if cs.done:
             return None
         if cs.retries:
             return cs.retries.popleft()
@@ -949,25 +892,22 @@ class CampaignEngine:
         handle = session.submit(spec, tag=(cs.cell, index, attempt, kind))
         self._submit_times[handle] = time.monotonic()
         self.events.append(("submit", cs.cell.id, index, attempt, kind))
-        if kind == "helper":
-            cs.helpers.append(handle)
-            self.helper_submits += 1
-        elif kind == "dup":
+        if kind == "dup":
             cs.dups[(index, attempt)] = handle
             self.duplicate_submits += 1
         else:
             cs.inflight[(index, attempt)] = handle
         return handle
 
-    def _maybe_duplicate(self, session) -> bool:
+    def _maybe_duplicate(self, session) -> None:
         """Launch one duplicate of the oldest pathological straggler."""
         if self.workers <= 1:
-            return False
+            return
         threshold = self.speculate_after
         if threshold is None:
             latencies = [v for vals in self._latency.values() for v in vals]
             if len(latencies) < 8:
-                return False
+                return
             threshold = max(1.0, 4 * sorted(latencies)[len(latencies) // 2])
         now = time.monotonic()
         best = None
@@ -984,15 +924,14 @@ class CampaignEngine:
                 if age >= threshold and (best is None or age > best[0]):
                     best = (age, cs, index, attempt)
         if best is None:
-            return False
+            return
         _, cs, index, attempt = best
         self._submit(session, cs, index, attempt, "dup")
-        return True
 
     # -- completion + commit ----------------------------------------------
 
     def _on_complete(self, session, handle) -> None:
-        cell, index, attempt, kind = handle.tag
+        cell, index, attempt, _kind = handle.tag
         cs = self._cells[cell]
         started = self._submit_times.pop(handle, None)
         if started is not None and not handle.cached:
@@ -1000,17 +939,6 @@ class CampaignEngine:
             self._busy += elapsed
             mode = self.config.trial_mode(cell)
             self._latency.setdefault(mode, []).append(elapsed)
-        if kind == "helper":
-            self.helper_completed += 1
-            if not handle.cached and not isinstance(handle.result, RunnerError):
-                # A genuinely fresh simulation now sits in the shared
-                # result cache for the owning engine to hit.
-                self.helper_warmed += 1
-            try:
-                cs.helpers.remove(handle)
-            except ValueError:
-                pass
-            return  # cache warmed; the owner commits this trial
         primary = cs.inflight.pop((index, attempt), None)
         dup = cs.dups.pop((index, attempt), None)
         if primary is None and dup is None:
@@ -1057,9 +985,6 @@ class CampaignEngine:
                             file=self.stream,
                         )
                     self._abandon(cs, session)
-                    if self.share_dir is not None and cs.owned:
-                        self._publish(cs)
-                        self._release(cs)
                     return
             if committed not in cs.resolved:
                 return
@@ -1073,16 +998,12 @@ class CampaignEngine:
 
     def _abandon(self, cs: _CellRun, session) -> None:
         """Revoke a converged cell's queued work, discard its stage."""
-        pending = (
-            list(cs.inflight.values()) + list(cs.dups.values()) + cs.helpers
-        )
-        for handle in pending:
+        for handle in [*cs.inflight.values(), *cs.dups.values()]:
             if session is not None and session.cancel(handle):
                 self.cancelled_savings += 1
                 self._submit_times.pop(handle, None)
         cs.inflight.clear()
         cs.dups.clear()
-        cs.helpers = []
         self.discarded_results += sum(
             len(events) for events in cs.staged.values()
         )
@@ -1114,154 +1035,6 @@ class CampaignEngine:
             self.outcomes[cell].records.append(record)
             self._log_trial(cell, record, result)
         self._dirty_records += 1
-
-    # -- multi-host cooperation -------------------------------------------
-
-    def _cell_hash(self, cell: Cell) -> str:
-        return hashlib.blake2b(cell.id.encode(), digest_size=12).hexdigest()
-
-    def _lease_for(self, cs: _CellRun) -> FileLease:
-        if cs.lease is None:
-            cs.lease = FileLease(
-                self.share_dir / "leases" / f"{self._cell_hash(cs.cell)}.lease",
-                self.owner_id,
-                ttl=self.lease_ttl,
-            )
-        return cs.lease
-
-    def _release(self, cs: _CellRun) -> None:
-        if cs.lease is not None:
-            cs.lease.release()
-
-    def _publish(self, cs: _CellRun) -> None:
-        """Atomically publish the cell's committed records for peers."""
-        outcome = self.outcomes[cs.cell]
-        if len(outcome.records) == cs.published:
-            return
-        path = self.share_dir / "cells" / f"{self._cell_hash(cs.cell)}.json"
-        payload = {
-            "campaign": self.digest,
-            "done": cs.done,
-            "records": [r.to_dict() for r in outcome.records],
-        }
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            tmp.write_text(json.dumps(payload, sort_keys=True))
-            # Injected after the temp file exists, where a real ENOSPC
-            # mid-write leaves it.
-            _chaos.check_disk_full("publish", str(path))
-            os.replace(tmp, path)
-        except OSError:
-            # Peers only lose a head start: the next cooperation tick or
-            # the exit publish retries, and the records stay committed
-            # (and checkpointed) locally.
-            recovery.count("publish_write_errors")
-            recovery.warn(
-                "campaign", f"publishing records to {path} failed; continuing"
-            )
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return
-        cs.published = len(outcome.records)
-
-    def _adopt(self, cs: _CellRun, session) -> None:
-        """Fold a peer's published records into our committed state.
-
-        Published records are the peer's *committed* set — contiguous
-        and boundary-gated — so adopting them wholesale preserves the
-        determinism argument; the local drain re-derives ``done`` and
-        ``stopped_early`` from the records themselves.
-        """
-        path = self.share_dir / "cells" / f"{self._cell_hash(cs.cell)}.json"
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return
-        if payload.get("campaign") != self.digest:
-            return
-        records = payload.get("records") or []
-        outcome = self.outcomes[cs.cell]
-        if len(records) <= len(outcome.records):
-            return
-        adopted = len(records) - len(outcome.records)
-        outcome.records = [TrialRecord.from_dict(r) for r in records]
-        self.records_adopted += adopted
-        self._dirty_records += adopted
-        cs.checked = -1
-        cs.next_submit = max(cs.next_submit, self._next_index(outcome))
-        cs.helper_next = max(cs.helper_next, cs.next_submit)
-        self._drain(cs, session)
-
-    def _claim_one(self, session) -> bool:
-        """Try to claim one unowned cell's lease (throttled per cell)."""
-        now = time.monotonic()
-        for cs in self._order:
-            if cs.done or cs.owned:
-                continue
-            if now - cs.last_claim < self.coop_interval:
-                continue
-            self._adopt(cs, session)  # it may already be finished
-            if cs.done:
-                continue
-            lease = self._lease_for(cs)
-            was_stale = lease.is_stale() and lease.holder() is not None
-            if lease.acquire():
-                if was_stale:
-                    self.lease_takeovers += 1
-                self._adopt(cs, session)  # start from the peer's frontier
-                cs.owned = True
-                cs.next_submit = self._next_index(self.outcomes[cs.cell])
-                return True
-            cs.last_claim = now
-        return False
-
-    def _coop_tick(self, session) -> None:
-        """Periodic renew / publish / adopt pass (claims happen in
-        dispatch, one cell at a time, so two engines partition the grid
-        instead of one hoarding every lease up front)."""
-        now = time.monotonic()
-        if now - self._last_coop < self.coop_interval:
-            return
-        self._last_coop = now
-        for cs in self._order:
-            if cs.done:
-                continue
-            if cs.owned:
-                lease = self._lease_for(cs)
-                if lease.held():
-                    lease.renew()
-                self._publish(cs)
-            else:
-                self._adopt(cs, session)
-
-    def _maybe_helper(self, session) -> bool:
-        """Warm the shared cache for a cell a live peer owns."""
-        if self.share_dir is None or self.runner.cache is None:
-            return False
-        if sum(len(cs.helpers) for cs in self._order) >= self.workers:
-            return False
-        for cs in self._order:
-            if cs.done or cs.owned:
-                continue
-            outcome = self.outcomes[cs.cell]
-            committed = self._next_index(outcome)
-            cs.helper_next = max(cs.helper_next, committed)
-            if self.config.target_half_width is None:
-                limit = self.config.trials
-            else:
-                limit = min(
-                    self._batch_stop(committed)
-                    + self.lookahead_batches * self.config.batch_size,
-                    self.config.trials,
-                )
-            if cs.helper_next < limit:
-                index = cs.helper_next
-                cs.helper_next += 1
-                self._submit(session, cs, index, 0, "helper")
-                return True
-        return False
 
     # -- persistence ------------------------------------------------------
 
@@ -1475,16 +1248,6 @@ class CampaignEngine:
             "speculative_duplicates": self.duplicate_submits,
             "cancelled_savings": self.cancelled_savings,
             "discarded_results": self.discarded_results,
-            "records_adopted": self.records_adopted,
-            "helper_trials": self.helper_submits,
-            "helper_completed": self.helper_completed,
-            "helper_warmed": self.helper_warmed,
-            "helper_warm_rate": (
-                self.helper_warmed / self.helper_submits
-                if self.helper_submits
-                else 0.0
-            ),
-            "lease_takeovers": self.lease_takeovers,
             "backend_latency": {
                 mode: latency_summary(vals)
                 for mode, vals in sorted(self._latency.items())

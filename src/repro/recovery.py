@@ -2,12 +2,12 @@
 
 Every layer of the execution stack degrades gracefully instead of
 failing — corrupt cache entries are quarantined and recomputed, broken
-worker pools are rebuilt, torn checkpoints are retired, dead lease
-holders are taken over, full disks stop persistence but never stop the
-run.  Each of those recoveries is deliberately quiet at the call site
-(the caller sees a miss, a retry, a fresh start — never an exception),
-which makes a central ledger essential: operators must be able to see
-that the system *is* degrading, and how often.
+worker pools are rebuilt, torn checkpoints are retired, full disks
+stop persistence but never stop the run.  Each of those recoveries is
+deliberately quiet at the call site (the caller sees a miss, a retry,
+a fresh start — never an exception), which makes a central ledger
+essential: operators must be able to see that the system *is*
+degrading, and how often.
 
 This module is that ledger.  It is import-light (stdlib only), safe to
 call from any thread, and deliberately process-global: the CLI prints
@@ -32,9 +32,6 @@ Counters (all monotonic within a process):
 ``checkpoint_write_errors``
     Campaign checkpoint writes that failed and were skipped (the
     campaign continues, minus durability).
-``publish_write_errors``
-    Share-dir record publishes that failed and were retried on a later
-    cooperation tick (peers only lose a head start).
 ``breaker_trips``
     Campaign cells failed by the per-cell circuit breaker after
     repeated exhausted trials.
@@ -51,8 +48,6 @@ Counters (all monotonic within a process):
 ``native_fallbacks``
     Compiled phase-2 kernels that failed to build/load, silently
     replaced by the bit-identical pure-Python loop.
-``lease_takeovers``
-    Stale file leases broken and re-acquired after their holder died.
 ``queue_save_errors``
     Service job-queue persists that failed and degraded to
     memory-only records.

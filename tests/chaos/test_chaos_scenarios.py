@@ -43,15 +43,14 @@ class TestScenarios:
             run_suite(["no-such-scenario"], workdir=tmp_path)
 
     def test_registry_covers_fault_model(self):
-        # One scenario per fault family, plus lease takeover and the
-        # service restart (which are protocol faults, not plan kinds).
+        # One scenario per fault family, plus the service restart
+        # (a protocol fault, not a plan kind).
         assert set(SCENARIOS) == {
             "cache-corruption",
             "worker-crash",
             "forced-timeout",
             "torn-checkpoint",
             "disk-full",
-            "lease-takeover",
             "service-restart",
         }
 

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+import repro.harness.campaign as campaign_module
 from repro.harness.campaign import (
     CampaignConfig,
     CampaignEngine,
@@ -157,6 +158,51 @@ class TestCampaignRuns:
         report = engine.run(max_trials=config.batch_size)
         assert not report.complete
         assert engine.telemetry()["trials_committed"] == config.batch_size
+
+
+class TestReportSummaries:
+    """A report bootstraps each cell's CIs once, however it is rendered."""
+
+    #: The Fig. 14 grid of the perf tool's fault campaign: 8 cells.
+    GRID = dict(
+        benchmarks=("gzip", "mcf"),
+        schemes=("BaseP", "BaseECC", "ICR-P-PS(S)", "ICR-ECC-PS(S)"),
+        error_rates=(1e-2,),
+        trials=2,
+        min_trials=2,
+        batch_size=2,
+        n_instructions=3_000,
+    )
+
+    def test_renderings_share_one_bootstrap_pass(self, monkeypatch):
+        engine = CampaignEngine(CampaignConfig(**self.GRID))
+        engine.run()
+        calls = []
+        real = campaign_module.bootstrap_ci
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "bootstrap_ci", counting)
+        report = engine.report()
+        text = report.to_json()
+        data = report.to_dict()
+        report.to_table()
+        # Four metrics carry values per cell (avf is off): one pass.
+        assert len(calls) == 4 * len(engine.config.cells())
+        assert json.loads(text) == data
+        # The engine keeps nothing: a new report computes its own pass.
+        engine.report().to_table()
+        assert len(calls) == 8 * len(engine.config.cells())
+
+    def test_to_dict_returns_fresh_data(self):
+        report = CampaignEngine(small_config(trials=2, batch_size=2)).run()
+        data = report.to_dict()
+        data["cells"][0]["metrics"]["unrecoverable_load_fraction"]["mean"] = -1
+        data["cells"][0]["trials_ok"] = -1
+        assert report.to_dict() != data
+        assert json.loads(report.to_json())["cells"][0]["trials_ok"] == 2
 
 
 class TestCheckpointResume:

@@ -8,23 +8,16 @@ The contract under test is the one DESIGN.md §12 argues for:
   through interrupt/resume;
 * once a cell converges it schedules zero further trials (queued work
   is revoked mid-flight, staged speculative results are discarded);
-* two engines cooperating through a share directory partition the cell
-  grid via file leases, adopt each other's published records, take over
-  stale leases, and still render the pinned report;
 * the checkpoint cadence batches writes instead of serializing the
   record set after every trial.
 """
 
 import dataclasses
 import json
-import time
 
 import pytest
 
 from repro import recovery
-from repro.chaos import runtime
-from repro.chaos.plan import FaultPlan
-from repro.harness.cache import FileLease, ResultCache
 from repro.harness.campaign import CampaignConfig, CampaignEngine, create_engine
 from repro.harness.runner import ParallelRunner, RunnerError
 from repro.harness.spec import ExperimentSpec
@@ -211,142 +204,6 @@ class TestCheckpointCadence:
         assert persisted == committed == 4
 
 
-class TestMultiHostCooperation:
-    def test_two_engines_share_and_agree(self, tmp_path):
-        config = config_for("small-trials4-batch2")
-        cache = ResultCache(tmp_path / "cache")
-        share = tmp_path / "share"
-        kwargs = dict(
-            share_dir=share,
-            coop_interval=0.01,
-            lease_ttl=10.0,
-        )
-        a = CampaignEngine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
-        b = CampaignEngine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
-        report_a = a.run()
-        report_b = b.run()
-        assert_matches_pin(report_a, "small-trials4-batch2")
-        assert_matches_pin(report_b, "small-trials4-batch2")
-        # The second engine found everything published and adopted it.
-        assert b.telemetry()["records_adopted"] == sum(
-            len(o.records) for o in b.outcomes.values()
-        )
-
-    def test_interleaved_engines_partition_cells(self, tmp_path):
-        # Drive two engines in alternating slices against one share dir;
-        # leases must keep them off each other's cells while both are
-        # mid-flight, and the union must converge to the full report.
-        config = config_for("small-trials4-batch2")
-        cache = ResultCache(tmp_path / "cache")
-        kwargs = dict(
-            share_dir=tmp_path / "share",
-            coop_interval=0.0,
-            lease_ttl=30.0,
-        )
-        a = CampaignEngine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
-        b = CampaignEngine(config, ParallelRunner(jobs=1, cache=cache), **kwargs)
-        for _ in range(40):
-            a.run(max_trials=1)
-            b.run(max_trials=1)
-            if a.report().complete and b.report().complete:
-                break
-        assert_matches_pin(a.report(), "small-trials4-batch2")
-        assert_matches_pin(b.report(), "small-trials4-batch2")
-
-    def test_stale_lease_takeover(self, tmp_path):
-        config = config_for("small", trials=2, batch_size=2, schemes=("BaseP",))
-        share = tmp_path / "share"
-        # A dead peer holds every cell: fabricate unrenewed lease files.
-        dead = CampaignEngine(
-            config,
-            ParallelRunner(jobs=1),
-            share_dir=share,
-            lease_ttl=0.05,
-        )
-        (share / "leases").mkdir(parents=True)
-        (share / "cells").mkdir(parents=True)
-        for cell in config.cells():
-            lease = FileLease(
-                share / "leases" / f"{dead._cell_hash(cell)}.lease",
-                "ghost:1:deadbeef",
-                ttl=0.05,
-            )
-            assert lease.acquire()
-        time.sleep(0.1)  # let the ghost's leases go stale
-        engine = CampaignEngine(
-            config,
-            ParallelRunner(jobs=1),
-            share_dir=share,
-            lease_ttl=0.05,
-            coop_interval=0.0,
-        )
-        report = engine.run()
-        assert report.complete
-        assert engine.lease_takeovers == len(config.cells())
-
-    def test_publish_survives_full_disk(self, tmp_path):
-        # The first publish of every cell file hits ENOSPC once its temp
-        # file exists: the failure is counted, the temp file removed, and
-        # a later publish of the same cell lands.
-        name = "small-trials4-batch2"
-        cells = tmp_path / "share" / "cells"
-        before = recovery.counter("publish_write_errors")
-        runtime.install(FaultPlan(seed=0, disk_full_rate=1.0), tmp_path / "chaos")
-        try:
-            engine = CampaignEngine(
-                config_for(name), runner_for(name), share_dir=tmp_path / "share"
-            )
-            assert not engine.run(max_trials=1).complete
-            assert recovery.counter("publish_write_errors") > before
-            assert list(cells.iterdir()) == []
-            report = engine.run()
-        finally:
-            runtime.uninstall()
-        assert_matches_pin(report, name)
-        published = sorted(p.suffix for p in cells.iterdir())
-        assert published == [".json"] * len(report.outcomes)
-
-
-class TestFileLease:
-    def test_exclusive_acquire_and_release(self, tmp_path):
-        path = tmp_path / "x.lease"
-        first = FileLease(path, "owner-a", ttl=30.0)
-        second = FileLease(path, "owner-b", ttl=30.0)
-        assert first.acquire()
-        assert first.held()
-        assert not second.acquire()
-        assert second.holder() == "owner-a"
-        first.release()
-        assert second.acquire()
-        assert second.held()
-
-    def test_reacquire_is_idempotent(self, tmp_path):
-        lease = FileLease(tmp_path / "x.lease", "owner-a")
-        assert lease.acquire()
-        assert lease.acquire()
-
-    def test_stale_lease_broken(self, tmp_path):
-        path = tmp_path / "x.lease"
-        first = FileLease(path, "owner-a", ttl=0.05)
-        second = FileLease(path, "owner-b", ttl=0.05)
-        assert first.acquire()
-        time.sleep(0.1)
-        assert second.is_stale()
-        assert second.acquire()
-        assert second.holder() == "owner-b"
-        # The usurped owner must not clobber the new lease.
-        first.release()
-        assert second.held()
-
-    def test_renew_keeps_lease_fresh(self, tmp_path):
-        lease = FileLease(tmp_path / "x.lease", "owner-a", ttl=0.2)
-        assert lease.acquire()
-        for _ in range(3):
-            time.sleep(0.08)
-            assert lease.renew()
-        assert not lease.is_stale()
-
-
 class TestRunnerSession:
     def _job(self, n=2_000, seed=0):
         return ExperimentSpec("gzip", "BaseP", n_instructions=n, trace_seed=seed)
@@ -495,9 +352,6 @@ class TestEngineFactory:
             "speculative_submits",
             "cancelled_savings",
             "discarded_results",
-            "records_adopted",
-            "helper_trials",
-            "lease_takeovers",
             "backend_latency",
             "runner",
         ):
