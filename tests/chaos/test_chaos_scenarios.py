@@ -18,6 +18,7 @@ import pytest
 from repro.chaos import runtime
 from repro.chaos.plan import FAULT_KINDS, FaultPlan
 from repro.chaos.scenarios import SCENARIOS, run_scenario, run_suite
+from repro.cli import main
 
 #: Everything except the slow subprocess scenario.
 LOCAL_SCENARIOS = [name for name in SCENARIOS if name != "service-restart"]
@@ -53,6 +54,21 @@ class TestScenarios:
             "disk-full",
             "service-restart",
         }
+
+
+class TestChaosCommand:
+    def test_list_names_every_scenario(self, capsys):
+        assert main(["chaos", "--list"]) == 0
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == list(SCENARIOS)
+
+    def test_removed_lease_scenario_exits_2(self, capsys, tmp_path):
+        # Campaigns run on one host, so there is no lease to take over.
+        code = main(
+            ["chaos", "--scenario", "lease-takeover", "--workdir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "lease-takeover" in capsys.readouterr().err
 
 
 class TestFaultPlan:

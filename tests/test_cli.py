@@ -160,6 +160,23 @@ class TestUnknownSchemeExitCode:
         assert code == 2
         assert "registered schemes" in capsys.readouterr().err
 
+    def test_campaign_share_dir_flag_removed(self, capsys, tmp_path):
+        # Campaigns run on one host; the cooperation flag is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "campaign",
+                    "--benchmark",
+                    "gzip",
+                    "--schemes",
+                    "BaseP",
+                    "--share-dir",
+                    str(tmp_path),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--share-dir" in capsys.readouterr().err
+
     def test_submit_unknown_scheme_exits_2_before_connecting(self, capsys):
         # The spec is validated locally, so this needs no server.
         code = main(

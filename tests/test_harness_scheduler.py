@@ -9,7 +9,9 @@ The contract under test is the one DESIGN.md §12 argues for:
 * once a cell converges it schedules zero further trials (queued work
   is revoked mid-flight, staged speculative results are discarded);
 * the checkpoint cadence batches writes instead of serializing the
-  record set after every trial.
+  record set after every trial;
+* campaigns run on one host: engines on that host share the result
+  cache and the checkpoint, and still render the pinned report.
 """
 
 import dataclasses
@@ -18,8 +20,11 @@ import json
 import pytest
 
 from repro import recovery
+from repro.chaos import runtime
+from repro.chaos.plan import FaultPlan
+from repro.harness.cache import ResultCache
 from repro.harness.campaign import CampaignConfig, CampaignEngine, create_engine
-from repro.harness.runner import ParallelRunner, RunnerError
+from repro.harness.runner import ParallelRunner, RunnerError, RunnerSession
 from repro.harness.spec import ExperimentSpec
 from tests.test_golden_campaign import (
     assert_matches_pin,
@@ -202,6 +207,102 @@ class TestCheckpointCadence:
         persisted = sum(len(v) for v in payload["cells"].values())
         committed = sum(len(o.records) for o in engine.outcomes.values())
         assert persisted == committed == 4
+
+
+class TestSingleHost:
+    """Campaigns run on one host: the cooperation surface is gone and
+    what the engine shares on a host (its result cache, its checkpoint)
+    still reproduces the pinned report."""
+
+    @pytest.mark.parametrize(
+        "keyword", ["share_dir", "lease_ttl", "coop_interval"]
+    )
+    def test_cooperation_keywords_removed(self, keyword, tmp_path):
+        with pytest.raises(TypeError, match=keyword):
+            CampaignEngine(
+                config_for("small"),
+                ParallelRunner(jobs=1),
+                **{keyword: tmp_path if keyword == "share_dir" else 1.0},
+            )
+
+    def test_telemetry_has_no_cooperation_keys(self):
+        engine = CampaignEngine(config_for("small"), ParallelRunner(jobs=1))
+        engine.run()
+        t = engine.telemetry()
+        for key in (
+            "records_adopted",
+            "helper_trials",
+            "helper_completed",
+            "helper_warmed",
+            "helper_warm_rate",
+            "lease_takeovers",
+        ):
+            assert key not in t, key
+
+    def test_two_engines_share_a_result_cache_and_agree(self, tmp_path):
+        # Two engines on one host share only the result cache: the
+        # second simulates nothing and renders the same pinned report.
+        name = "small-trials4-batch2"
+        cache = ResultCache(tmp_path / "cache")
+        a = CampaignEngine(config_for(name), ParallelRunner(jobs=1, cache=cache))
+        b = CampaignEngine(config_for(name), ParallelRunner(jobs=1, cache=cache))
+        assert_matches_pin(a.run(), name)
+        assert_matches_pin(b.run(), name)
+        runner = b.telemetry()["runner"]
+        assert runner["simulated"] == 0
+        assert runner["cache_hits"] == b.telemetry()["trials_committed"]
+
+    def test_one_trial_slices_converge_to_pin(self):
+        # Driving one engine a trial at a time commits exactly the
+        # trials of an uninterrupted run.
+        name = "small-trials4-batch2"
+        engine = CampaignEngine(config_for(name), runner_for(name))
+        total = sum(len(cell["records"]) for cell in pinned(name)["cells"])
+        for _ in range(total):
+            report = engine.run(max_trials=1)
+        assert report.complete
+        assert_matches_pin(report, name)
+
+    def test_checkpoint_survives_full_disk(self, tmp_path):
+        # The chaos plan fills the disk once per checkpoint path: the
+        # first flush is counted and leaves nothing behind, and a later
+        # flush of the same checkpoint lands and resumes exactly.
+        name = "small-trials4-batch2"
+        ck = tmp_path / "ck.json"
+        before = recovery.counter("checkpoint_write_errors")
+        runtime.install(FaultPlan(seed=0, disk_full_rate=1.0), tmp_path / "chaos")
+        try:
+            engine = CampaignEngine(
+                config_for(name), runner_for(name), checkpoint_path=ck
+            )
+            assert not engine.run(max_trials=1).complete
+            assert recovery.counter("checkpoint_write_errors") == before + 1
+            assert list(tmp_path.glob("ck.*")) == []
+            engine.run(max_trials=1)
+        finally:
+            runtime.uninstall()
+        assert engine.checkpoint_writes == 1
+        resumed = CampaignEngine(
+            config_for(name), runner_for(name), checkpoint_path=ck
+        )
+        assert resumed.resumed
+        assert_matches_pin(resumed.run(), name)
+
+    def test_run_blocks_on_next_completed(self, monkeypatch):
+        # With no peers to poll, the run loop waits on the session
+        # without a timeout.
+        timeouts = []
+        original = RunnerSession.next_completed
+
+        def spy(self, timeout=None):
+            timeouts.append(timeout)
+            return original(self, timeout)
+
+        monkeypatch.setattr(RunnerSession, "next_completed", spy)
+        name = "small-trials4-batch2"
+        report = CampaignEngine(config_for(name), runner_for(name)).run()
+        assert_matches_pin(report, name)
+        assert timeouts and set(timeouts) == {None}
 
 
 class TestRunnerSession:
